@@ -22,7 +22,6 @@
 #include "engine/experiment.hpp"
 #include "obs/report.hpp"
 #include "sim/simulator.hpp"
-#include "util/fingerprint.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
@@ -127,32 +126,17 @@ void BM_OnlineSim_WarmArena(benchmark::State& state) {
 BENCHMARK(BM_OnlineSim_WarmArena)->RangeMultiplier(4)->Range(1, 256);
 
 void BM_RoundSnapshot_Build(benchmark::State& state) {
-  // Once-per-round cost of snapshotting queue + profile into columns and
-  // fingerprinting them (amortized over all 60 candidates).
+  // Once-per-round cost of snapshotting queue + profile into columns
+  // (amortized over all 60 candidates).
   const auto queue = make_queue(static_cast<std::size_t>(state.range(0)));
   const auto profile = typical_profile();
   core::RoundSnapshot snapshot;
   for (auto _ : state) {
     snapshot.build(queue, profile);
-    benchmark::DoNotOptimize(snapshot.fingerprint.lo());
+    benchmark::DoNotOptimize(snapshot.job_count());
   }
 }
 BENCHMARK(BM_RoundSnapshot_Build)->RangeMultiplier(4)->Range(16, 256);
-
-void BM_Fingerprint(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(3);
-  std::vector<double> values(n);
-  for (double& v : values) v = rng.uniform(0.0, 1e6);
-  for (auto _ : state) {
-    util::Fingerprint fp;
-    for (const double v : values) fp.mix(v);
-    benchmark::DoNotOptimize(fp.lo());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_Fingerprint)->Range(64, 4096);
 
 void BM_OrderQueue(benchmark::State& state) {
   const auto base = make_queue(static_cast<std::size_t>(state.range(0)));
@@ -181,28 +165,6 @@ void BM_FullSelection60(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullSelection60)->RangeMultiplier(4)->Range(4, 64);
-
-void BM_FullSelection60_NoMemo(benchmark::State& state) {
-  // Same selection, memoization off: every iteration pays the full fresh
-  // snapshot + 60 inner sims. BM_FullSelection60 above repeats an identical
-  // round, so with the default config it converges to all-memo-hit
-  // steady state; this variant tracks the fresh-path trajectory.
-  static const policy::Portfolio& portfolio = *new policy::Portfolio(
-      policy::Portfolio::paper_portfolio());
-  core::OnlineSimConfig sim_config;
-  sim_config.utility = metrics::UtilityParams{100.0, 1.0, 1.0};
-  core::SelectorConfig sel_config;
-  sel_config.time_constraint_ms = 0.0;  // unbounded: all 60 policies
-  sel_config.memoize = false;
-  const auto queue = make_queue(static_cast<std::size_t>(state.range(0)));
-  const auto profile = typical_profile();
-  core::TimeConstrainedSelector selector(portfolio, core::OnlineSimulator(sim_config),
-                                         sel_config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(selector.select(queue, profile));
-  }
-}
-BENCHMARK(BM_FullSelection60_NoMemo)->RangeMultiplier(4)->Range(4, 64);
 
 void BM_TraceGeneration(benchmark::State& state) {
   const workload::TraceGenerator gen(workload::das2_fs0_like(7.0));

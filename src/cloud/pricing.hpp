@@ -88,8 +88,7 @@ struct PricingConfig {
   /// multiplicative step drawn from the "walk" stream, clamped to
   /// [walk_min, walk_max]; composes with `schedule`. 0 disables.
   double walk_step = 0.0;
-  /// Epoch length of the walk (and the granularity at which the round
-  /// fingerprint observes the price process), sim seconds.
+  /// Epoch length of the walk, sim seconds.
   SimDuration walk_epoch_seconds = 3600.0;
   double walk_min = 0.25;
   double walk_max = 4.0;
@@ -105,8 +104,8 @@ struct PricingConfig {
 
   /// True when any pricing feature is active. False (the default) makes
   /// the whole layer a no-op: the engine skips model construction, the
-  /// profile carries no pricing view, and the round fingerprint mixes no
-  /// pricing fields.
+  /// profile carries no pricing view, and the round snapshot carries no
+  /// pricing columns.
   [[nodiscard]] bool enabled() const noexcept {
     return !families.empty() || spot_price_fraction > 0.0 ||
            !schedule.empty() || walk_step > 0.0 || reserved_count > 0;
@@ -188,8 +187,7 @@ class PricingModel {
   /// Market multiplier at `t`: schedule step × walk factor of t's epoch.
   [[nodiscard]] double multiplier_at(SimTime t);
 
-  /// Price epoch index of `t` (walk grid; also the granularity the round
-  /// fingerprint folds in so memo hits never cross a price change).
+  /// Price epoch index of `t` (walk grid).
   [[nodiscard]] std::uint64_t epoch_of(SimTime t) const noexcept;
 
   /// Draw the revocation delay for one new spot lease ("spot" stream);

@@ -39,8 +39,7 @@ void RoundSnapshot::build(std::span<const policy::QueuedJob> queue,
   }
 
   // Pricing columns exist only when pricing is on, so pricing-off
-  // snapshots (and their fingerprints, below) stay byte-identical to the
-  // pre-pricing layout.
+  // snapshots keep the pre-pricing layout.
   pricing = profile.pricing;
   vm_family.clear();
   vm_tier.clear();
@@ -52,54 +51,6 @@ void RoundSnapshot::build(std::span<const policy::QueuedJob> queue,
       vm_tier.push_back(static_cast<unsigned char>(view.tier));
     }
   }
-
-  // The fingerprint covers every input the inner simulation reads, in a
-  // fixed canonical order, with length prefixes so (say) moving a value
-  // from the queue to the VM table cannot alias. The simulator config is
-  // NOT part of the hash: a memo cache lives inside one selector, whose
-  // OnlineSimConfig is immutable, so config identity is structural.
-  util::Fingerprint fp;
-  fp.mix(t0);
-  fp.mix(max_vms);
-  fp.mix(boot_delay);
-  fp.mix(billing_quantum);
-  fp.mix(job_id.size());
-  for (std::size_t i = 0; i < job_id.size(); ++i) {
-    fp.mix(static_cast<std::size_t>(job_id[i]));
-    fp.mix(job_submit[i]);
-    fp.mix(job_procs[i]);
-    fp.mix(job_predicted[i]);
-  }
-  fp.mix(vm_lease.size());
-  for (std::size_t i = 0; i < vm_lease.size(); ++i) {
-    fp.mix(vm_lease[i]);
-    fp.mix(vm_available[i]);
-    fp.mix(vm_busy[i] != 0);
-  }
-  if (pricing.enabled) {
-    // The whole pricing view in canonical order: market state (epoch +
-    // multiplier — a schedule step or walk step lands in a new epoch and
-    // invalidates memo hits), tier economics, commitment occupancy, the
-    // family table, and the per-VM family/tier columns.
-    fp.mix(pricing.enabled);
-    fp.mix(pricing.epoch);
-    fp.mix(pricing.multiplier);
-    fp.mix(pricing.spot_price_fraction);
-    fp.mix(pricing.reserved_total);
-    fp.mix(pricing.reserved_in_use);
-    fp.mix(pricing.families.size());
-    for (const cloud::PricingView::Family& f : pricing.families) {
-      fp.mix(f.price);
-      fp.mix(f.boot_delay);
-      fp.mix(f.cap);
-      fp.mix(f.in_use);
-    }
-    for (std::size_t i = 0; i < vm_family.size(); ++i) {
-      fp.mix(static_cast<std::size_t>(vm_family[i]));
-      fp.mix(static_cast<std::size_t>(vm_tier[i]));
-    }
-  }
-  fingerprint = fp;
 }
 
 void RoundSnapshot::fill_pending(std::vector<policy::QueuedJob>& out) const {

@@ -18,11 +18,10 @@ policy::PolicyTriple SinglePolicyScheduler::policy_for_tick(
 std::string SinglePolicyScheduler::name() const { return policy_.name(); }
 
 PortfolioScheduler::PortfolioScheduler(const policy::Portfolio& portfolio,
-                                       PortfolioSchedulerConfig config,
-                                       util::ThreadPool* eval_pool)
+                                       PortfolioSchedulerConfig config)
     : portfolio_(portfolio),
       config_(config),
-      selector_(portfolio, OnlineSimulator(config.online_sim), config.selector, eval_pool),
+      selector_(portfolio, OnlineSimulator(config.online_sim), config.selector),
       reflection_(portfolio.size()),
       current_(portfolio.policies().front()) {
   PSCHED_ASSERT(config_.selection_period_ticks >= 1);

@@ -38,8 +38,7 @@ class Scheduler {
   /// Checkpoint support (DESIGN.md §14): fold the scheduler's cross-tick
   /// mutable state into `digest`, bit-exactly. The base implementation is a
   /// no-op — a fixed policy carries no state; the portfolio scheduler folds
-  /// its selection cadence, selector partition, RNG position, and memo
-  /// fingerprints.
+  /// its selection cadence, selector partition, and RNG position.
   virtual void capture_checkpoint_state(util::StateDigest& /*digest*/) const {}
 };
 
@@ -87,14 +86,10 @@ struct PortfolioSchedulerConfig {
 
 class PortfolioScheduler final : public Scheduler {
  public:
-  /// Borrows `portfolio` (must outlive the scheduler). `eval_pool`
-  /// (optional, borrowed) is forwarded to the selector for wave-parallel
-  /// candidate evaluation when `config.selector.eval_threads > 1`; sharing
-  /// one pool between an outer scenario sweep and the inner selector waves
-  /// keeps the machine from being oversubscribed (see DESIGN.md, threading
-  /// model).
-  PortfolioScheduler(const policy::Portfolio& portfolio, PortfolioSchedulerConfig config,
-                     util::ThreadPool* eval_pool = nullptr);
+  /// Borrows `portfolio` (must outlive the scheduler).
+  PortfolioScheduler(const policy::Portfolio& portfolio, PortfolioSchedulerConfig config);
+  /// A temporary portfolio would dangle at the first policy_for_tick().
+  PortfolioScheduler(policy::Portfolio&& portfolio, PortfolioSchedulerConfig config) = delete;
 
   [[nodiscard]] policy::PolicyTriple policy_for_tick(
       std::uint64_t tick, std::span<const policy::QueuedJob> queue,

@@ -1,14 +1,11 @@
 #include "core/selector.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace psched::core {
 
@@ -19,51 +16,19 @@ std::string candidate_args(std::size_t index) {
   return "{\"policy\":" + std::to_string(index) + '}';
 }
 
-/// Bit-exact outcome comparison for the verify_memo tripwire: IEEE-754 bit
-/// patterns, not float equality — the memo contract is "the stored outcome
-/// IS what a fresh simulation produces", down to the sign of zero.
-bool bit_identical(const SimOutcome& a, const SimOutcome& b) {
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  return bits(a.utility) == bits(b.utility) &&
-         bits(a.avg_bounded_slowdown) == bits(b.avg_bounded_slowdown) &&
-         bits(a.rj_proc_seconds) == bits(b.rj_proc_seconds) &&
-         bits(a.rv_charged_seconds) == bits(b.rv_charged_seconds) &&
-         bits(a.sim_makespan) == bits(b.sim_makespan) && a.decisions == b.decisions;
-}
-
 }  // namespace
 
 TimeConstrainedSelector::TimeConstrainedSelector(const policy::Portfolio& portfolio,
                                                  OnlineSimulator simulator,
-                                                 SelectorConfig config,
-                                                 util::ThreadPool* shared_pool)
+                                                 SelectorConfig config)
     : portfolio_(portfolio),
       simulator_(std::move(simulator)),
       config_(config),
       rng_(config.rng_seed) {
   PSCHED_ASSERT_MSG(portfolio_.size() > 0, "selector needs a non-empty portfolio");
   PSCHED_ASSERT(config_.lambda > 0.0 && config_.lambda <= 1.0);
-  wave_width_ = config_.eval_threads != 0
-                    ? config_.eval_threads
-                    : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  if (wave_width_ > 1) {
-    if (shared_pool != nullptr) {
-      pool_ = shared_pool;
-    } else {
-      // The coordinating thread drains waves too (ThreadPool::run_batch), so
-      // wave_width_ - 1 workers give wave_width_ concurrent simulations.
-      owned_pool_ = std::make_unique<util::ThreadPool>(wave_width_ - 1);
-      pool_ = owned_pool_.get();
-    }
-  }
-  // One arena per wave slot (slot k of every wave simulates in arenas_[k]),
-  // one memo slot per portfolio policy.
-  arenas_.resize(wave_width_);
-  memo_.resize(portfolio_.size());
   reset();
 }
-
-TimeConstrainedSelector::~TimeConstrainedSelector() = default;
 
 void TimeConstrainedSelector::reset() {
   smart_.clear();
@@ -71,8 +36,6 @@ void TimeConstrainedSelector::reset() {
   poor_.clear();
   // First invocation: every policy is in Smart (paper, Section 4).
   for (std::size_t i = 0; i < portfolio_.size(); ++i) smart_.push_back(i);
-  // Drop cached outcomes too: reset() means "forget everything learned".
-  for (MemoSlot& slot : memo_) slot.valid = false;
 }
 
 void TimeConstrainedSelector::capture_checkpoint_state(util::StateDigest& digest) const {
@@ -91,35 +54,11 @@ void TimeConstrainedSelector::capture_checkpoint_state(util::StateDigest& digest
   digest.add_size("selector.smart_len", smart_.size());
   digest.add_size("selector.stale_len", stale_.size());
   digest.add_size("selector.poor_len", poor_.size());
-  // Memo slots are indexed by portfolio position, so folding them in index
-  // order is deterministic. Only identity-bearing fields enter the digest:
-  // the fingerprint proves which problem instance each cached outcome
-  // answers for.
-  std::uint64_t memo = 0;
-  std::size_t valid_slots = 0;
-  for (std::size_t i = 0; i < memo_.size(); ++i) {
-    const MemoSlot& slot = memo_[i];
-    if (!slot.valid) continue;
-    ++valid_slots;
-    memo = util::digest_mix(memo, static_cast<std::uint64_t>(i));
-    memo = util::digest_mix(memo, slot.fp.lo());
-    memo = util::digest_mix(memo, slot.fp.hi());
-  }
-  digest.add_u64("selector.memo", memo);
-  digest.add_size("selector.memo_valid", valid_slots);
-}
-
-bool TimeConstrainedSelector::memo_enabled() const noexcept {
-  // Fault injection makes simulate() throw; serving such a candidate from
-  // the cache would silently skip the failure path under test.
-  return config_.memoize &&
-         simulator_.config().inject_fault == validate::FaultInjection::kNone;
 }
 
 double TimeConstrainedSelector::simulate_one(std::size_t index,
                                              std::vector<PolicyScore>& scores,
-                                             std::vector<std::size_t>& quarantined,
-                                             std::size_t& memo_hits) {
+                                             std::vector<std::size_t>& quarantined) {
   // Candidate trace spans use the recorder's clock (obs.cpp), independent of
   // the budget clock below, so tracing can never perturb budget accounting.
   const bool tracing = recorder_ != nullptr && recorder_->tracing_on();
@@ -127,235 +66,38 @@ double TimeConstrainedSelector::simulate_one(std::size_t index,
     recorder_->append_event(obs::TraceEvent{"selector.candidate", 'B',
                                             recorder_->now_us(), 0,
                                             candidate_args(index)});
-  const bool memo_on = memo_enabled();
-  MemoSlot& slot = memo_[index];
-  const bool hit = memo_on && slot.valid && slot.fp == snapshot_.fingerprint;
-  if (config_.budget_mode == BudgetMode::kFixedCount) {
-    // Deterministic accounting: one unit per candidate, no clock read. A
-    // throwing candidate still consumed its budget slot, so the unit is
-    // charged either way. A memo hit charges the same unit a fresh
-    // simulation would — the candidate set and every budget decision stay
-    // bit-identical with the memo on or off.
-    SimOutcome outcome;
-    bool failed = false;
-    if (hit) {
-      outcome = slot.outcome;
-      ++memo_hits;
-      if (config_.verify_memo) {
-        const SimOutcome fresh =
-            simulator_.simulate(snapshot_, portfolio_.policies()[index], arenas_[0]);
-        PSCHED_ASSERT_MSG(bit_identical(fresh, outcome),
-                          "memo hit diverged from a fresh simulation");
-      }
-    } else {
-      try {
-        outcome = simulator_.simulate(snapshot_, portfolio_.policies()[index], arenas_[0]);
-      } catch (const std::exception&) {
-        failed = true;
-      }
-    }
-    if (failed) {
-      quarantined.push_back(index);
-    } else {
-      scores.push_back(PolicyScore{index, outcome.utility, 1.0});
-      if (memo_on && !hit) slot = MemoSlot{snapshot_.fingerprint, outcome, true};
-    }
-    if (tracing)
-      recorder_->append_event(
-          obs::TraceEvent{"selector.candidate", 'E', recorder_->now_us(), 0, {}});
-    return 1.0;
-  }
-  // A hit charges zero measured time by definition (the lookup is what the
-  // round actually pays; timing it would read a clock for nanoseconds of
-  // work and make synthetic-only accounting machine-dependent).
-  double measured_ms = 0.0;
+  // kFixedCount reads no clock: every candidate charges exactly one unit,
+  // and a throwing candidate still consumed its budget slot.
+  const bool fixed = config_.budget_mode == BudgetMode::kFixedCount;
+  std::chrono::steady_clock::time_point start;
+  if (!fixed) start = std::chrono::steady_clock::now();
   SimOutcome outcome;
   bool failed = false;
-  if (hit) {
-    outcome = slot.outcome;
-    ++memo_hits;
-    if (config_.verify_memo) {
-      const SimOutcome fresh =
-          simulator_.simulate(snapshot_, portfolio_.policies()[index], arenas_[0]);
-      PSCHED_ASSERT_MSG(bit_identical(fresh, outcome),
-                        "memo hit diverged from a fresh simulation");
-    }
-  } else {
-    const auto start = std::chrono::steady_clock::now();
-    try {
-      outcome = simulator_.simulate(snapshot_, portfolio_.policies()[index], arenas_[0]);
-    } catch (const std::exception&) {
-      failed = true;
-    }
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    measured_ms = std::chrono::duration<double, std::milli>(elapsed).count();
-  }
-  double cost = config_.synthetic_overhead_ms;
-  if (config_.use_measured_cost) cost += measured_ms;
-  // Per-candidate budget blow-out: the time was spent (cost is charged),
-  // but the result is not trusted into the ranking.
-  if (!failed && config_.candidate_timeout_ms > 0.0 &&
-      cost > config_.candidate_timeout_ms)
+  try {
+    outcome = simulator_.simulate(snapshot_, portfolio_.policies()[index], arena_);
+  } catch (const std::exception&) {
     failed = true;
+  }
+  double cost = 1.0;
+  if (!fixed) {
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    cost = config_.synthetic_overhead_ms;
+    if (config_.use_measured_cost)
+      cost += std::chrono::duration<double, std::milli>(elapsed).count();
+    // Per-candidate budget blow-out: the time was spent (cost is charged),
+    // but the result is not trusted into the ranking.
+    if (!failed && config_.candidate_timeout_ms > 0.0 &&
+        cost > config_.candidate_timeout_ms)
+      failed = true;
+  }
   if (failed)
     quarantined.push_back(index);
-  else {
+  else
     scores.push_back(PolicyScore{index, outcome.utility, cost});
-    if (memo_on && !hit) slot = MemoSlot{snapshot_.fingerprint, outcome, true};
-  }
   if (tracing)
     recorder_->append_event(
         obs::TraceEvent{"selector.candidate", 'E', recorder_->now_us(), 0, {}});
   return cost;
-}
-
-double TimeConstrainedSelector::run_wave(std::span<const std::size_t> wave,
-                                         std::vector<PolicyScore>& scores,
-                                         std::vector<std::size_t>& quarantined,
-                                         std::size_t& memo_hits) {
-  PSCHED_ASSERT(!wave.empty());
-  // A singleton wave runs inline on the coordinating thread — this is the
-  // whole story when eval_threads = 1, which keeps that path bit-identical
-  // to the sequential algorithm (no pool, no extra timing scopes).
-  if (wave.size() == 1)
-    return simulate_one(wave.front(), scores, quarantined, memo_hits);
-
-  PSCHED_ASSERT(pool_ != nullptr);
-  // Wave candidate tracing writes into per-slot buffers (lane 1 + slot),
-  // merged in slot order after the batch barrier: workers never touch the
-  // shared sink directly, so the trace stream is deterministic for a fixed
-  // eval_threads even though workers finish in any order.
-  const bool tracing = recorder_ != nullptr && recorder_->tracing_on();
-  std::vector<std::vector<obs::TraceEvent>> slot_events(tracing ? wave.size() : 0);
-  const auto trace_slot = [&](std::size_t k, std::int64_t b_us, std::int64_t e_us) {
-    slot_events[k].push_back(obs::TraceEvent{"selector.candidate", 'B', b_us,
-                                             static_cast<std::uint32_t>(1 + k),
-                                             candidate_args(wave[k])});
-    slot_events[k].push_back(obs::TraceEvent{
-        "selector.candidate", 'E', e_us, static_cast<std::uint32_t>(1 + k), {}});
-  };
-  const auto merge_slots = [&] {
-    if (!tracing) return;
-    for (std::vector<obs::TraceEvent>& buffer : slot_events)
-      recorder_->merge_events(std::move(buffer));
-  };
-
-  // Memo lookups happen here, on the coordinating thread, before the wave
-  // is dispatched: workers only read the precomputed hit flags and outcome
-  // copies, never the cache itself, and a hit slot skips its simulation
-  // (except under verify_memo, which re-simulates into the slot's own arena
-  // to cross-check). Stores happen after the barrier, also coordinating-
-  // thread-only — the cache is never touched concurrently.
-  const bool memo_on = memo_enabled();
-  std::vector<unsigned char> wave_hit(wave.size(), 0);
-  std::vector<SimOutcome> outcomes(wave.size());
-  if (memo_on) {
-    for (std::size_t k = 0; k < wave.size(); ++k) {
-      const MemoSlot& slot = memo_[wave[k]];
-      if (slot.valid && slot.fp == snapshot_.fingerprint) {
-        wave_hit[k] = 1;
-        outcomes[k] = slot.outcome;
-      }
-    }
-  }
-  const auto commit_memo = [&](std::size_t k) {
-    memo_hits += wave_hit[k] != 0 ? 1 : 0;
-    if (memo_on && wave_hit[k] == 0)
-      memo_[wave[k]] = MemoSlot{snapshot_.fingerprint, outcomes[k], true};
-  };
-
-  if (config_.budget_mode == BudgetMode::kFixedCount) {
-    // Deterministic accounting: workers fill disjoint outcome slots without
-    // touching a budget clock; each candidate charges one unit, so a wave
-    // costs its size and the budget drains exactly as in the sequential run —
-    // that (plus the quota-capped wave fill in select()) is what makes the
-    // candidate set identical across eval_threads widths. (Trace timestamps
-    // come from the recorder's own clock and feed reporting only.)
-    // Worker exceptions must not escape run_batch (it rethrows the first
-    // onto the coordinating thread): each slot traps its own failure into a
-    // disjoint flag byte (unsigned char, not vector<bool> — slots must be
-    // independently writable).
-    std::vector<unsigned char> wave_failed(wave.size(), 0);
-    pool_->run_batch(wave.size(), [&](std::size_t k) {
-      const std::int64_t b_us = tracing ? recorder_->now_us() : 0;
-      if (wave_hit[k] != 0) {
-        if (config_.verify_memo) {
-          const SimOutcome fresh = simulator_.simulate(
-              snapshot_, portfolio_.policies()[wave[k]], arenas_[k]);
-          PSCHED_ASSERT_MSG(bit_identical(fresh, outcomes[k]),
-                            "memo hit diverged from a fresh simulation");
-        }
-      } else {
-        try {
-          outcomes[k] =
-              simulator_.simulate(snapshot_, portfolio_.policies()[wave[k]], arenas_[k]);
-        } catch (const std::exception&) {
-          wave_failed[k] = 1;
-        }
-      }
-      if (tracing) trace_slot(k, b_us, recorder_->now_us());
-    });
-    merge_slots();
-    for (std::size_t k = 0; k < wave.size(); ++k) {
-      if (wave_failed[k] != 0) {
-        quarantined.push_back(wave[k]);
-      } else {
-        scores.push_back(PolicyScore{wave[k], outcomes[k].utility, 1.0});
-        commit_memo(k);
-      }
-    }
-    return static_cast<double>(wave.size());
-  }
-  std::vector<double> measured_ms(wave.size(), 0.0);
-  std::vector<unsigned char> wave_failed(wave.size(), 0);
-  pool_->run_batch(wave.size(), [&](std::size_t k) {
-    const std::int64_t b_us = tracing ? recorder_->now_us() : 0;
-    if (wave_hit[k] != 0) {
-      // Zero measured cost by definition (see simulate_one); the verify
-      // re-simulation is out-of-band and must not enter the budget.
-      if (config_.verify_memo) {
-        const SimOutcome fresh = simulator_.simulate(
-            snapshot_, portfolio_.policies()[wave[k]], arenas_[k]);
-        PSCHED_ASSERT_MSG(bit_identical(fresh, outcomes[k]),
-                          "memo hit diverged from a fresh simulation");
-      }
-    } else {
-      const auto start = std::chrono::steady_clock::now();
-      try {
-        outcomes[k] =
-            simulator_.simulate(snapshot_, portfolio_.policies()[wave[k]], arenas_[k]);
-      } catch (const std::exception&) {
-        wave_failed[k] = 1;
-      }
-      const auto elapsed = std::chrono::steady_clock::now() - start;
-      measured_ms[k] = std::chrono::duration<double, std::milli>(elapsed).count();
-    }
-    if (tracing) trace_slot(k, b_us, recorder_->now_us());
-  });
-  merge_slots();
-
-  // Scores append in wave (= submission) order, so the ranking input is
-  // independent of which worker finished first. The wave's budget charge is
-  // the slowest member (they ran concurrently) plus one synthetic overhead;
-  // failed members spent that wall time too, so they count toward it.
-  double slowest_ms = 0.0;
-  for (std::size_t k = 0; k < wave.size(); ++k) {
-    double cost = config_.synthetic_overhead_ms;
-    if (config_.use_measured_cost) {
-      cost += measured_ms[k];
-      slowest_ms = std::max(slowest_ms, measured_ms[k]);
-    }
-    if (wave_failed[k] == 0 && config_.candidate_timeout_ms > 0.0 &&
-        cost > config_.candidate_timeout_ms)
-      wave_failed[k] = 1;
-    if (wave_failed[k] != 0) {
-      quarantined.push_back(wave[k]);
-    } else {
-      scores.push_back(PolicyScore{wave[k], outcomes[k].utility, cost});
-      commit_memo(k);
-    }
-  }
-  return config_.synthetic_overhead_ms + slowest_ms;
 }
 
 SelectionResult TimeConstrainedSelector::select(
@@ -364,7 +106,7 @@ SelectionResult TimeConstrainedSelector::select(
   PSCHED_ASSERT_MSG(!queue.empty(), "selection on an empty queue is undefined");
 
   // Build the shared round snapshot once (DESIGN.md §11): every candidate
-  // wave reads it, and its fingerprint keys the memo cache.
+  // reads it.
   snapshot_.build(queue, profile);
 
   const obs::Recorder::Scope round_scope(recorder_, "selector.round", 0);
@@ -416,35 +158,18 @@ SelectionResult TimeConstrainedSelector::select(
   std::vector<PolicyScore> scores;
   scores.reserve(portfolio_.size());
   std::vector<std::size_t> quarantined;  // threw / blew per-candidate budget
-  double charged_ms = 0.0;       // budget actually charged (sum of wave costs)
-  std::size_t memo_hits = 0;     // candidates answered from the memo cache
-  std::vector<std::size_t> wave;
-  wave.reserve(wave_width_);
-
-  // Waves fill with up to wave_width_ candidates on the coordinating thread
-  // (front-of-set order; for Poor, RNG draws — also coordinating-thread-only,
-  // so the draw sequence matches the sequential algorithm's pick-by-pick
-  // sampling) and are simulated concurrently by run_wave.
-  //
-  // In fixed-count mode a wave additionally never overshoots the remaining
-  // quota: the sequential algorithm runs exactly ceil(quota) more unit-cost
-  // simulations before the budget flips non-positive, so capping the fill at
-  // that count keeps the simulated candidate set — and therefore the whole
-  // round — identical for every eval_threads width.
-  const auto wave_cap = [&](double quota) {
-    if (!(fixed && bounded)) return wave_width_;
-    return std::min(wave_width_, static_cast<std::size_t>(std::ceil(quota)));
+  double charged_ms = 0.0;               // budget actually charged
+  const auto charge = [&](std::size_t index, double& set_quota) {
+    const double cost = simulate_one(index, scores, quarantined);
+    set_quota -= cost;
+    charged_ms += cost;
   };
-  const auto drain_ordered = [&](std::deque<std::size_t>& set, double& quota) {
-    while (!set.empty() && quota > 0.0) {
-      wave.clear();
-      while (!set.empty() && wave.size() < wave_cap(quota)) {
-        wave.push_back(set.front());
-        set.pop_front();
-      }
-      const double cost = run_wave(wave, scores, quarantined, memo_hits);
-      quota -= cost;
-      charged_ms += cost;
+
+  const auto drain_ordered = [&](std::deque<std::size_t>& set, double& set_quota) {
+    while (!set.empty() && set_quota > 0.0) {
+      const std::size_t index = set.front();
+      set.pop_front();
+      charge(index, set_quota);
     }
   };
 
@@ -455,17 +180,12 @@ SelectionResult TimeConstrainedSelector::select(
   // Phase 2c: Poor, random picks, with the leftovers folded in (l.13-19).
   double quota = quota_poor + std::max(0.0, quota_smart) + std::max(0.0, quota_stale);
   while (!poor_.empty() && quota > 0.0) {
-    wave.clear();
-    while (!poor_.empty() && wave.size() < wave_cap(quota)) {
-      const auto pick = static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(poor_.size()) - 1));
-      wave.push_back(poor_[pick]);
-      poor_[pick] = poor_.back();
-      poor_.pop_back();
-    }
-    const double cost = run_wave(wave, scores, quarantined, memo_hits);
-    quota -= cost;
-    charged_ms += cost;
+    const auto pick = static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(poor_.size()) - 1));
+    const std::size_t index = poor_[pick];
+    poor_[pick] = poor_.back();
+    poor_.pop_back();
+    charge(index, quota);
   }
 
   // Phase 3: rearrange (l.20-24). Un-simulated Smart leftovers age into
@@ -485,7 +205,6 @@ SelectionResult TimeConstrainedSelector::select(
     SelectionResult result;
     result.degraded = true;
     result.quarantined = quarantined.size();
-    result.memo_hits = memo_hits;
     result.best_index =
         preferred_index < portfolio_.size() ? preferred_index : 0;
     result.best_utility = 0.0;
@@ -503,7 +222,6 @@ SelectionResult TimeConstrainedSelector::select(
       record.stale_out = stale_.size();
       record.poor_out = poor_.size();
       record.quarantined = quarantined.size();
-      record.memo_hits = memo_hits;
       record.chosen = result.best_index;
       record.chosen_utility = 0.0;
       record.tie_set = 0;
@@ -559,7 +277,6 @@ SelectionResult TimeConstrainedSelector::select(
   result.best_utility = scores.front().utility;
   result.total_cost_ms = charged_ms;
   result.quarantined = quarantined.size();
-  result.memo_hits = memo_hits;
   result.scores = std::move(scores);
 
   if (obs_on) {
@@ -580,7 +297,6 @@ SelectionResult TimeConstrainedSelector::select(
         ++record.smart_churn;
     }
     record.quarantined = result.quarantined;
-    record.memo_hits = memo_hits;
     record.chosen = result.best_index;
     record.chosen_utility = result.best_utility;
     record.tie_set = tied;
@@ -601,10 +317,6 @@ SelectionResult TimeConstrainedSelector::select(
     if (result.quarantined > 0)
       recorder_->counter_add("selector.quarantined",
                              static_cast<double>(result.quarantined));
-    const std::size_t attempted = result.scores.size() + result.quarantined;
-    recorder_->counter_add("selector.memo_hits", static_cast<double>(memo_hits));
-    recorder_->counter_add("selector.memo_misses",
-                           static_cast<double>(attempted - memo_hits));
   }
   return result;
 }

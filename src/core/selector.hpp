@@ -16,18 +16,11 @@
 // cost (for the deterministic Figure-10 experiment), or both — or, with
 // BudgetMode::kFixedCount, a plain simulation count, which removes every
 // clock read from the selection path and makes a round reproducible
-// bit-for-bit across machines and eval_threads widths.
+// bit-for-bit across machines.
 //
-// Candidate evaluation can run in parallel waves (SelectorConfig::
-// eval_threads): each set is drained in deterministic groups of up to
-// eval_threads candidates simulated concurrently on a util::ThreadPool,
-// and a wave is charged against the budget as the maximum of its members'
-// measured costs plus one synthetic overhead — concurrent simulations
-// overlap in wall time, so Delta buys up to eval_threads× more candidates.
-// All sequencing decisions (which candidates form a wave, Poor-set RNG
-// draws, score order) happen on the coordinating thread, so results are
-// deterministic for a fixed eval_threads, and eval_threads = 1 is
-// bit-identical to the original sequential algorithm.
+// Candidates are simulated one at a time, as in the paper: Smart, then
+// Stale, then Poor, each against the same per-round RoundSnapshot and in
+// one reused SimArena (DESIGN.md §11).
 //
 // Graceful degradation (DESIGN.md §10): a candidate whose online simulation
 // throws — or, under a candidate_timeout_ms bound, blows its per-candidate
@@ -38,7 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -46,11 +38,6 @@
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
 #include "util/state_digest.hpp"
-#include "util/thread_annotations.hpp"
-
-namespace psched::util {
-class ThreadPool;
-}  // namespace psched::util
 
 namespace psched::core {
 
@@ -74,7 +61,7 @@ enum class BudgetMode {
   /// Delta is a simulation count: every candidate charges exactly one unit
   /// and the selector reads no clock at all, so a round's outcome is a pure
   /// function of (portfolio, queue, profile, seed) — bit-identical across
-  /// machines, load conditions, and eval_threads widths. use_measured_cost
+  /// machines and load conditions. use_measured_cost
   /// and synthetic_overhead_ms are ignored.
   kFixedCount,
 };
@@ -106,13 +93,6 @@ struct SelectorConfig {
   bool use_measured_cost = true;
   /// Seed for the random sampling of the Poor set.
   std::uint64_t rng_seed = 0x5eed;
-  /// Candidates simulated concurrently per evaluation wave. 1 (default)
-  /// preserves the sequential Algorithm 1 bit-for-bit; k > 1 drains
-  /// Smart/Stale/Poor in deterministic waves of up to k candidates, each
-  /// wave charged max(member measured cost) + synthetic_overhead_ms, so a
-  /// budget Delta simulates up to k× more policies. 0 means hardware
-  /// concurrency.
-  std::size_t eval_threads = 1;
   /// Per-candidate budget blow-out bound (kWallclock mode only): a
   /// candidate whose charged cost exceeds this many milliseconds is
   /// quarantined to Poor instead of entering the ranking. <= 0 (default)
@@ -121,24 +101,6 @@ struct SelectorConfig {
   /// with synthetic-only accounting it is deterministic. Ignored in
   /// kFixedCount mode (every candidate charges exactly one unit there).
   double candidate_timeout_ms = 0.0;
-  /// Cross-round memoization (DESIGN.md §11): cache each candidate's
-  /// SimOutcome keyed by the round's 128-bit input fingerprint; a later
-  /// round with a bit-identical (queue, cloud profile) reuses the stored
-  /// outcome instead of re-simulating. Deterministic by construction: a hit
-  /// returns the exact outcome a fresh simulation would produce, and in the
-  /// deterministic budget modes (kFixedCount; kWallclock with
-  /// use_measured_cost = false) a hit charges exactly what a miss would, so
-  /// selection output is bit-identical with the memo on or off. In measured
-  /// kWallclock mode hits charge (near) zero measured time — the speedup —
-  /// which is budget-visible, like every other wall-clock effect in that
-  /// mode. Automatically disabled while fault injection is active (the
-  /// injected-throw path must stay exercised).
-  bool memoize = true;
-  /// Paranoia switch: on every memo hit, re-simulate fresh and assert the
-  /// stored outcome is bit-identical (fingerprint-collision tripwire).
-  /// Costs a full simulation per hit; enabled by the engine whenever
-  /// invariant checking is on, off in performance runs.
-  bool verify_memo = false;
 };
 
 /// Utility score of one simulated policy.
@@ -152,18 +114,14 @@ struct SelectionResult {
   std::size_t best_index = 0;
   double best_utility = 0.0;
   std::vector<PolicyScore> scores;  ///< all policies simulated this round
-  /// Budget actually charged: the sum of per-wave costs. Equal to the sum
-  /// of the scores' cost_ms when eval_threads = 1; smaller with parallel
-  /// waves (concurrent members overlap in wall time).
+  /// Budget actually charged: the scores' cost_ms plus what quarantined
+  /// candidates charged.
   double total_cost_ms = 0.0;
   /// Candidates quarantined this round: their online simulation threw, or
   /// (kWallclock + candidate_timeout_ms) blew the per-candidate budget.
   /// Quarantined candidates charge the budget they consumed, contribute no
   /// score, and are demoted to the Poor set.
   std::size_t quarantined = 0;
-  /// Candidates answered from the cross-round memo cache this round (always
-  /// 0 with SelectorConfig::memoize off or fault injection active).
-  std::size_t memo_hits = 0;
   /// True when every attempted candidate was quarantined: no ranking was
   /// possible and best_index is the last-known-good (preferred) policy
   /// carried over with best_utility = 0 — graceful degradation instead of
@@ -175,17 +133,12 @@ struct SelectionResult {
 
 class TimeConstrainedSelector {
  public:
-  /// The selector borrows `portfolio` (must outlive the selector). When
-  /// `config.eval_threads` exceeds 1, candidate waves run on `shared_pool`
-  /// if given (it must outlive the selector; the coordinating thread helps
-  /// drain each wave, so a pool already busy with outer scenario sweeps is
-  /// safe to share) or on an internally owned pool of eval_threads - 1
-  /// workers otherwise.
+  /// The selector borrows `portfolio` (must outlive the selector).
   TimeConstrainedSelector(const policy::Portfolio& portfolio, OnlineSimulator simulator,
-                          SelectorConfig config,
-                          util::ThreadPool* shared_pool = nullptr);
-  // Out of line: the owned pool's deleter needs the complete ThreadPool.
-  ~TimeConstrainedSelector();
+                          SelectorConfig config);
+  /// A temporary portfolio would dangle at the first select().
+  TimeConstrainedSelector(policy::Portfolio&& portfolio, OnlineSimulator simulator,
+                          SelectorConfig config) = delete;
 
   /// Run Algorithm 1 on the given problem instance. Requires a non-empty
   /// queue (an empty instance cannot rank policies). `preferred_index` is
@@ -210,82 +163,44 @@ class TimeConstrainedSelector {
   [[nodiscard]] const SelectorConfig& config() const noexcept { return config_; }
   [[nodiscard]] const OnlineSimulator& simulator() const noexcept { return simulator_; }
 
-  /// Effective candidates per wave (eval_threads with 0 resolved to the
-  /// hardware concurrency).
-  [[nodiscard]] std::size_t wave_width() const noexcept { return wave_width_; }
-
   /// Attach (or detach, with nullptr) an observability recorder (borrowed;
   /// must outlive the selector or be detached first). Recording is strictly
-  /// passive: no RNG draw, wave composition, score order, or budget charge
+  /// passive: no RNG draw, candidate order, score order, or budget charge
   /// depends on the recorder, so selection output is bit-identical with it
   /// attached, detached, or at any ObsLevel.
   void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
 
   /// Checkpoint support (DESIGN.md §14): fold the selector's cross-round
-  /// mutable state — the Poor-sampling RNG position, the Smart/Stale/Poor
-  /// partition, and every memo slot's fingerprint — into `digest`,
-  /// bit-exactly. Wall-clock costs never enter the digest (psched-lint D1):
-  /// in measured kWallclock mode they vary run to run by design, and in the
-  /// deterministic budget modes they are derived state. Must be called from
-  /// the coordinating thread, like select().
+  /// mutable state — the Poor-sampling RNG position and the
+  /// Smart/Stale/Poor partition — into `digest`, bit-exactly. Wall-clock
+  /// costs never enter the digest (psched-lint D1): in measured kWallclock
+  /// mode they vary run to run by design, and in the deterministic budget
+  /// modes they are derived state.
   void capture_checkpoint_state(util::StateDigest& digest) const;
 
  private:
-  /// One cached candidate outcome (per portfolio index): valid iff `fp`
-  /// equals the current round fingerprint.
-  struct MemoSlot {
-    util::Fingerprint fp;
-    SimOutcome outcome;
-    bool valid = false;
-  };
-
-  /// Whether memo lookups/stores are live for the current configuration.
-  [[nodiscard]] bool memo_enabled() const noexcept;
-
-  /// Simulate policy `index` against the current round snapshot (arena slot
-  /// 0) and append its score to `scores`; returns the budget cost charged.
-  /// A candidate that throws or blows the per-candidate budget lands in
-  /// `quarantined` instead of `scores`. Memo hits skip the simulation and
-  /// bump `memo_hits`.
+  /// Simulate policy `index` against the current round snapshot and append
+  /// its score to `scores`; returns the budget charged (one unit in
+  /// kFixedCount mode). A candidate that throws or blows the per-candidate
+  /// budget lands in `quarantined` instead of `scores`.
   double simulate_one(std::size_t index, std::vector<PolicyScore>& scores,
-                      std::vector<std::size_t>& quarantined, std::size_t& memo_hits);
-
-  /// Simulate one wave of candidates against the current round snapshot
-  /// (concurrently when the wave has more than one member; wave slot k uses
-  /// arenas_[k]), append their scores in wave order, and return the budget
-  /// cost charged for the whole wave. Failed members land in `quarantined`
-  /// (wave order); memo hits bump `memo_hits`.
-  double run_wave(std::span<const std::size_t> wave, std::vector<PolicyScore>& scores,
-                  std::vector<std::size_t>& quarantined, std::size_t& memo_hits);
+                      std::vector<std::size_t>& quarantined);
 
   const policy::Portfolio& portfolio_;
   OnlineSimulator simulator_;
   SelectorConfig config_;
   obs::Recorder* recorder_ = nullptr;  ///< null = unobserved (default)
-  // All sequencing state below is touched only by the coordinating thread
-  // that called select(): wave workers receive disjoint score slots and
-  // never see the RNG or the sets. PSCHED_CONFINED_TO documents (but cannot
-  // verify) this; the determinism matrix tests enforce it by requiring
-  // bit-identical results across eval_threads widths.
-  util::Rng rng_ PSCHED_CONFINED_TO("selector coordinating thread");
-  std::size_t wave_width_ = 1;
-  std::unique_ptr<util::ThreadPool> owned_pool_;  ///< only if no shared pool
-  util::ThreadPool* pool_ = nullptr;              ///< non-null iff wave_width_ > 1
+  util::Rng rng_;
 
-  std::deque<std::size_t> smart_ PSCHED_CONFINED_TO("selector coordinating thread");
-  std::deque<std::size_t> stale_ PSCHED_CONFINED_TO("selector coordinating thread");
-  std::vector<std::size_t> poor_ PSCHED_CONFINED_TO("selector coordinating thread");
+  std::deque<std::size_t> smart_;
+  std::deque<std::size_t> stale_;
+  std::vector<std::size_t> poor_;
 
-  // Hot-path state (DESIGN.md §11). The snapshot is (re)built once per
-  // select() on the coordinating thread before any wave is dispatched and
-  // is strictly read-only while workers run. Arena k is owned by wave slot
-  // k for the duration of one wave (disjoint slots; no sharing); between
-  // waves all arenas belong to the coordinating thread. The memo cache is
-  // read and written by the coordinating thread only — workers receive
-  // copies of any hit outcome they need (verify_memo).
+  // Hot-path state (DESIGN.md §11): the snapshot is rebuilt once per
+  // select() and read by every candidate; the arena is the candidates'
+  // reused scratch.
   RoundSnapshot snapshot_;
-  std::vector<SimArena> arenas_;
-  std::vector<MemoSlot> memo_ PSCHED_CONFINED_TO("selector coordinating thread");
+  SimArena arena_;
 };
 
 }  // namespace psched::core

@@ -5,9 +5,8 @@
 // availability view, the allocation plan and its scratch — as vectors that
 // are cleared (capacity kept) between candidates instead of reallocated.
 //
-// The selector owns one arena per wave slot, so concurrent candidate
-// evaluations never share an arena; the arena itself is strictly
-// single-threaded state.
+// The selector owns one arena and reuses it for every candidate; the arena
+// itself is strictly single-threaded state.
 
 #include <cstdint>
 #include <vector>

@@ -450,9 +450,9 @@ util::Fingerprint portfolio_config_fingerprint(
   fp.mix(static_cast<int>(pconfig.trigger));
   fp.mix(pconfig.selector.lambda);
   fp.mix(static_cast<int>(predictor));
-  // Deliberately excluded: eval_threads, memo capacity, observability — the
-  // engine is bit-identical across them, so a checkpoint written at one
-  // setting resumes cleanly at another.
+  // Deliberately excluded: observability — the engine is bit-identical
+  // with and without it, so a checkpoint written at one level resumes
+  // cleanly at another.
   return fp;
 }
 
@@ -505,8 +505,8 @@ ScenarioResult run_portfolio_checkpointed(
     const policy::Portfolio& portfolio,
     const core::PortfolioSchedulerConfig& pconfig, PredictorKind predictor,
     const CheckpointConfig& checkpoint, CheckpointStats& stats,
-    util::ThreadPool* eval_pool, obs::Recorder* recorder) {
-  core::PortfolioScheduler scheduler(portfolio, pconfig, eval_pool);
+    obs::Recorder* recorder) {
+  core::PortfolioScheduler scheduler(portfolio, pconfig);
   const auto pred = make_predictor(predictor);
   ClusterSimulation sim(config, trace, scheduler, *pred, recorder);
   const util::Fingerprint fp =

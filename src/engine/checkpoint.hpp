@@ -11,8 +11,8 @@
 //  * a schema-versioned ("psched-checkpoint/v1") JSON body carrying the
 //    epoch boundary, a config fingerprint, and a bit-exact StateDigest of
 //    the complete simulation state at that boundary (event-loop position,
-//    fleet, queue, RNG stream positions, selector partition and memo
-//    fingerprints, metric accumulators — see the capture_* routines);
+//    fleet, queue, RNG stream positions, selector partition, metric
+//    accumulators — see the capture_* routines);
 //  * a trailing checksum line over the body bytes, so truncation and bit
 //    flips are detected before anything is trusted.
 //
@@ -190,7 +190,7 @@ class CheckpointSupervisor {
     const policy::Portfolio& portfolio,
     const core::PortfolioSchedulerConfig& pconfig, PredictorKind predictor,
     const CheckpointConfig& checkpoint, CheckpointStats& stats,
-    util::ThreadPool* eval_pool = nullptr, obs::Recorder* recorder = nullptr);
+    obs::Recorder* recorder = nullptr);
 
 /// MultiTenantExperiment::run with checkpoint supervision: checkpoints every
 /// `checkpoint.every_epochs` arbitration epochs via the EpochObserver hook.

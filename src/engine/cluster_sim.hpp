@@ -116,8 +116,8 @@ class ClusterSimulation {
 
   // --- incremental stepping (the multi-tenant epoch loop; DESIGN.md §13) ---
   // A MultiTenantExperiment interleaves N simulations on shared provider
-  // capacity: start() each once, advance_until() them wave by wave, adjust
-  // allowances between waves, then finish() each when no events remain.
+  // capacity: start() each once, advance_until() them epoch by epoch, adjust
+  // allowances between epochs, then finish() each when no events remain.
 
   /// Schedule every trace arrival. Single-shot, implied by run().
   void start();

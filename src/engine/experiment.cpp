@@ -45,9 +45,8 @@ ScenarioResult run_single_policy(const EngineConfig& config, const workload::Tra
 ScenarioResult run_portfolio(const EngineConfig& config, const workload::Trace& trace,
                              const policy::Portfolio& portfolio,
                              const core::PortfolioSchedulerConfig& pconfig,
-                             PredictorKind predictor, util::ThreadPool* eval_pool,
-                             obs::Recorder* recorder) {
-  core::PortfolioScheduler scheduler(portfolio, pconfig, eval_pool);
+                             PredictorKind predictor, obs::Recorder* recorder) {
+  core::PortfolioScheduler scheduler(portfolio, pconfig);
   const auto pred = make_predictor(predictor);
   ClusterSimulation sim(config, trace, scheduler, *pred, recorder);
   ScenarioResult result;
@@ -67,15 +66,6 @@ std::vector<ScenarioResult> run_parallel(
   std::vector<ScenarioResult> results(tasks.size());
   util::ThreadPool pool(threads);
   pool.parallel_for(tasks.size(), [&](std::size_t i) { results[i] = tasks[i](); });
-  return results;
-}
-
-std::vector<ScenarioResult> run_parallel(
-    const std::vector<std::function<ScenarioResult(util::ThreadPool&)>>& tasks,
-    std::size_t threads) {
-  std::vector<ScenarioResult> results(tasks.size());
-  util::ThreadPool pool(threads);
-  pool.parallel_for(tasks.size(), [&](std::size_t i) { results[i] = tasks[i](pool); });
   return results;
 }
 
@@ -142,9 +132,6 @@ core::PortfolioSchedulerConfig paper_portfolio_config(const EngineConfig& engine
   core::PortfolioSchedulerConfig pc;
   pc.selector.time_constraint_ms = 0.0;  // unbounded
   pc.selector.lambda = 0.6;
-  // Invariant-checked runs also cross-check every memo hit against a fresh
-  // simulation (the fingerprint-collision tripwire; DESIGN.md §11).
-  pc.selector.verify_memo = engine.validation.check_invariants;
   pc.online_sim.utility = engine.utility;
   pc.online_sim.slowdown_bound = engine.slowdown_bound;
   pc.online_sim.schedule_period = engine.schedule_period;

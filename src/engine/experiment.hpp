@@ -13,7 +13,6 @@
 #include "obs/report.hpp"
 #include "predict/suite.hpp"
 #include "predict/tsafrir.hpp"
-#include "util/thread_pool.hpp"
 
 namespace psched::engine {
 
@@ -53,19 +52,14 @@ struct ScenarioResult {
                                                PredictorKind predictor,
                                                obs::Recorder* recorder = nullptr);
 
-/// Run the portfolio scheduler over a trace. `eval_pool` (optional,
-/// borrowed) hosts the selector's wave-parallel candidate evaluation when
-/// `pconfig.selector.eval_threads > 1`; pass the scenario sweep's own pool
-/// (see the pool-aware run_parallel overload) so outer and inner
-/// parallelism share one set of workers instead of oversubscribing.
-/// `recorder` (optional, borrowed) additionally captures per-round
-/// selection telemetry through the scheduler's selector.
+/// Run the portfolio scheduler over a trace. `recorder` (optional,
+/// borrowed) additionally captures per-round selection telemetry through
+/// the scheduler's selector.
 [[nodiscard]] ScenarioResult run_portfolio(const EngineConfig& config,
                                            const workload::Trace& trace,
                                            const policy::Portfolio& portfolio,
                                            const core::PortfolioSchedulerConfig& pconfig,
                                            PredictorKind predictor,
-                                           util::ThreadPool* eval_pool = nullptr,
                                            obs::Recorder* recorder = nullptr);
 
 /// Assemble obs::RunReportInputs from a finished scenario (the glue between
@@ -88,21 +82,11 @@ bool write_observability_outputs(const ScenarioResult& result,
                                  const std::string& trace_path,
                                  const obs::ReportCheckpoint* checkpoint = nullptr);
 
-/// Run `tasks` scenario thunks across a shared thread pool. Results keep
-/// task order. Each task owns its engine: engines are thread-compatible
-/// (one engine per thread, no shared mutable state), and any inner
-/// selector-wave parallelism a task wants must come through the pool-aware
-/// overload below.
+/// Run `tasks` scenario thunks across a thread pool. Results keep task
+/// order. Each task owns its engine: engines are thread-compatible (one
+/// engine per thread, no shared mutable state).
 [[nodiscard]] std::vector<ScenarioResult> run_parallel(
     const std::vector<std::function<ScenarioResult()>>& tasks, std::size_t threads = 0);
-
-/// Pool-aware variant: each task receives the sweep's shared pool so it can
-/// forward it to run_portfolio (inner selector waves then borrow idle sweep
-/// workers — ThreadPool::run_batch lets a task help drain its own waves, so
-/// nesting cannot deadlock and the total thread count stays at `threads`).
-[[nodiscard]] std::vector<ScenarioResult> run_parallel(
-    const std::vector<std::function<ScenarioResult(util::ThreadPool&)>>& tasks,
-    std::size_t threads = 0);
 
 /// Default engine configuration matching the paper's setup: 256 VMs,
 /// 120 s boot delay, 20 s scheduling period, 10 s slowdown bound,

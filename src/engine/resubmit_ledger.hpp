@@ -7,7 +7,7 @@
 // budgets — a job could be killed-final with zero actual resubmits because a
 // same-id job in another tenant burned the budget first. The ledger keys by
 // (tenant, job) and is cleared at experiment start so counts never leak
-// across runs either. Shards are per-tenant: wave-parallel tenant ticks
+// across runs either. Shards are per-tenant: parallel tenant epoch steps
 // touch disjoint maps, so a shared ledger needs no locking.
 
 #include <cstddef>
@@ -59,7 +59,7 @@ class ResubmitLedger {
   }
 
  private:
-  // One map per tenant: a tenant's wave task only ever touches its own shard.
+  // One map per tenant: a tenant's epoch task only ever touches its own shard.
   std::vector<std::unordered_map<JobId, std::size_t>> shards_;
 };
 

@@ -198,7 +198,7 @@ MultiTenantResult MultiTenantExperiment::run(EpochObserver* observer) {
     ec.resilience = t.resilience;
     if (config_.portfolio != nullptr) {
       schedulers.push_back(std::make_unique<core::PortfolioScheduler>(
-          *config_.portfolio, config_.scheduler, pool_));
+          *config_.portfolio, config_.scheduler));
     } else {
       schedulers.push_back(
           std::make_unique<core::SinglePolicyScheduler>(config_.policy));
@@ -298,7 +298,7 @@ MultiTenantResult MultiTenantExperiment::run(EpochObserver* observer) {
     ++result.arbitrations;
   };
 
-  const auto advance_wave = [&](SimTime horizon) {
+  const auto advance_epoch = [&](SimTime horizon) {
     const auto step = [&](std::size_t i) {
       if (sims[i]->active()) sims[i]->advance_until(horizon);
     };
@@ -311,7 +311,7 @@ MultiTenantResult MultiTenantExperiment::run(EpochObserver* observer) {
 
   // Full-experiment state capture at an epoch boundary (checkpoint support):
   // every tenant's engine under a "t<i>." scope, then the coordinator's own
-  // accumulators. Runs on the coordinating thread between waves.
+  // accumulators. Runs on the coordinating thread between epochs.
   const auto capture_all = [&](util::StateDigest& digest) {
     for (std::size_t i = 0; i < n; ++i) {
       std::string scope = "t";
@@ -347,7 +347,7 @@ MultiTenantResult MultiTenantExperiment::run(EpochObserver* observer) {
     // Exact multiples of the epoch keep the horizon aligned with the
     // engines' phase-aligned ticks (no accumulated FP drift).
     const SimTime horizon = static_cast<double>(result.epochs) * epoch;
-    advance_wave(horizon);
+    advance_epoch(horizon);
     arbitrate(horizon);
     if (observer != nullptr) {
       bool still_active = false;

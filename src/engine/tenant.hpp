@@ -9,10 +9,10 @@
 // knobs, and VM-hour budget — over one shared capacity pool, and steps them
 // in lockstep epochs:
 //
-//   1. every tenant advances to the epoch boundary, wave-parallel on the
+//   1. every tenant advances to the epoch boundary, in parallel on the
 //      shared thread pool (tenant simulations share no mutable state — the
-//      crash-resubmission ledger is sharded per tenant — so a wave is
-//      embarrassingly parallel and bit-identical at any worker count);
+//      crash-resubmission ledger is sharded per tenant — so an epoch step
+//      is embarrassingly parallel and bit-identical at any worker count);
 //   2. the coordinator reads each tenant's demand (live fleet + queued
 //      width) and runs the deterministic fairness arbiter;
 //   3. each tenant's provider cap is set to its allowance for the next
@@ -28,7 +28,7 @@
 // arriving mid-epoch can lease immediately. Every unit of the global cap is
 // always allocated. Determinism: demands are read and allowances
 // applied on the coordinating thread in tenant-id order, so the schedule is
-// a pure function of configs and seeds regardless of eval_threads.
+// a pure function of configs and seeds regardless of the pool width.
 //
 // Per-tenant seed streams derive from one root via the registered
 // "tenant-workload" / "tenant-failure" streams (util/seed_streams.hpp,
@@ -134,7 +134,7 @@ struct MultiTenantResult {
   std::uint64_t ticks = 0;
   std::uint64_t events = 0;
   std::size_t total_leases = 0;
-  std::uint64_t epochs = 0;        ///< epoch waves executed
+  std::uint64_t epochs = 0;        ///< epochs executed
   std::uint64_t arbitrations = 0;  ///< arbiter decisions (epochs + the t=0 one)
   std::size_t peak_leased = 0;     ///< max over arbitrations of summed fleets
   bool is_portfolio = false;
@@ -145,7 +145,7 @@ struct MultiTenantResult {
 
 /// Observer of a multi-tenant run's epoch boundaries (checkpoint support,
 /// DESIGN.md §14). on_epoch_boundary fires on the coordinating thread after
-/// a wave advanced to its horizon and the arbiter re-divided capacity —
+/// every tenant advanced to its horizon and the arbiter re-divided capacity —
 /// a quiescent instant where every tenant's state is a pure function of
 /// configs and seeds. `capture` folds the complete experiment state (every
 /// tenant's engine scoped "t<i>.", plus the arbiter's accumulators) into a
@@ -159,9 +159,8 @@ class EpochObserver {
 };
 
 /// Runs N tenant simulations in lockstep epochs over shared capacity. The
-/// thread pool (optional, borrowed) hosts both the tenant waves and every
-/// tenant selector's candidate waves; null runs everything serially with
-/// bit-identical results.
+/// thread pool (optional, borrowed) advances the tenants of each epoch in
+/// parallel; null runs them serially with bit-identical results.
 class MultiTenantExperiment {
  public:
   explicit MultiTenantExperiment(MultiTenantConfig config,

@@ -14,11 +14,9 @@
 //  2. Single clock site. All wall-clock reads live in obs.cpp
 //     (Recorder::now_us), which is on psched-lint's D1 allowlist; the rest
 //     of the tree stays clock-free so rule D1 keeps meaning something.
-//  3. Deterministic merging under eval_threads > 1. Wave workers write
-//     TraceEvents into per-slot buffers owned by the coordinating thread
-//     and merged in wave order after the batch barrier; the shared sink is
-//     still mutex-guarded (annotated like util/thread_pool) so recorders
-//     shared across scenario sweeps stay correct.
+//  3. A thread-safe event sink. The sink is mutex-guarded (annotated like
+//     util/thread_pool) so recorders shared across scenario sweeps stay
+//     correct.
 //
 // One Recorder instance observes one run. Counters, gauges, phase stats,
 // and round records are confined to the run's coordinating thread; only the
@@ -52,8 +50,8 @@ struct ObsConfig {
 /// One Chrome-trace event (the JSON serialization lives in obs/report.hpp).
 /// `phase` uses the Chrome trace-format codes: 'B' begin, 'E' end,
 /// 'i' instant. Timestamps are microseconds since the Recorder's epoch;
-/// `tid` is a logical lane (0 = the run's coordinating thread, 1 + k = wave
-/// slot k), not an OS thread id — slots are deterministic, OS ids are not.
+/// `tid` is a logical lane (0 = the run's coordinating thread), not an OS
+/// thread id — lanes are deterministic, OS ids are not.
 struct TraceEvent {
   const char* name = "";      ///< static string (instrumentation-site literal)
   char phase = 'B';
@@ -78,7 +76,6 @@ struct SelectionRoundRecord {
   std::size_t smart_out = 0, stale_out = 0, poor_out = 0; ///< set sizes after
   std::size_t smart_churn = 0;    ///< |new Smart \ old Smart|
   std::size_t quarantined = 0;    ///< candidates that threw / blew budget
-  std::size_t memo_hits = 0;      ///< candidates answered from the memo cache
   std::size_t chosen = 0;         ///< winning portfolio index
   double chosen_utility = 0.0;
   std::size_t tie_set = 0;        ///< scores tied with the best
@@ -134,10 +131,6 @@ class Recorder {
   void append_event(TraceEvent event);
   /// Append an instant event ('i') stamped now on lane `tid`.
   void instant(const char* name, std::uint32_t tid, std::string args_json = {});
-  /// Bulk-append a per-thread buffer (thread-safe). Callers are responsible
-  /// for deterministic merge ORDER (merge per-slot buffers in slot order
-  /// from the coordinating thread after the wave barrier).
-  void merge_events(std::vector<TraceEvent> events);
 
   // --- selection-round telemetry (coordinating thread only) ------------------
   void record_round(const SelectionRoundRecord& record);
@@ -162,13 +155,12 @@ class Recorder {
   ObsConfig config_;
   /// Set eagerly in the constructor when the recorder is enabled (an off
   /// recorder never reads the clock at all, not even at construction), so
-  /// wave workers can read it without synchronization: the constructor
+  /// any thread can read it without synchronization: the constructor
   /// happens-before every now_us() call and the value never changes after.
   std::int64_t epoch_ns_ = 0;
 
   // Aggregates are written by the run's coordinating thread only (the same
-  // thread that drives ClusterSimulation::run / select()); wave workers
-  // never touch them. Enforced by the obs on/off determinism test.
+  // thread that drives ClusterSimulation::run / select()).
   std::map<std::string, double> counters_ PSCHED_CONFINED_TO("run coordinating thread");
   std::map<std::string, double> gauges_ PSCHED_CONFINED_TO("run coordinating thread");
   std::map<std::string, PhaseStat> phases_ PSCHED_CONFINED_TO("run coordinating thread");

@@ -189,7 +189,7 @@ std::string selection_json(const Recorder* recorder) {
   const auto& rounds = recorder->rounds();
   double simulated = 0.0, charged = 0.0;
   double smart = 0.0, stale = 0.0, poor = 0.0;
-  std::size_t churn = 0, memo_hits = 0;
+  std::size_t churn = 0;
   std::map<std::string, double> tie_paths;
   for (const SelectionRoundRecord& r : rounds) {
     simulated += static_cast<double>(r.simulated);
@@ -198,7 +198,6 @@ std::string selection_json(const Recorder* recorder) {
     stale += static_cast<double>(r.stale_out);
     poor += static_cast<double>(r.poor_out);
     churn += r.smart_churn;
-    memo_hits += r.memo_hits;
     tie_paths[r.tie_path] += 1.0;
   }
   const auto n = static_cast<double>(rounds.size());
@@ -207,7 +206,6 @@ std::string selection_json(const Recorder* recorder) {
   append_kv(out, "rounds", json_number(n), first);
   append_kv(out, "total_simulated", json_number(simulated), first);
   append_kv(out, "total_budget_charged", json_number(charged), first);
-  append_kv(out, "total_memo_hits", json_number(static_cast<double>(memo_hits)), first);
   append_kv(out, "mean_smart", json_number(smart / n), first);
   append_kv(out, "mean_stale", json_number(stale / n), first);
   append_kv(out, "mean_poor", json_number(poor / n), first);
@@ -489,8 +487,7 @@ ValidationResult validate_run_report(std::string_view json) {
   const JsonValue* selection = root.find("selection");
   if (selection == nullptr) return fail("missing key \"selection\"");
   if (selection->is(JsonValue::Type::kObject)) {
-    for (const char* key : {"rounds", "total_simulated", "total_budget_charged",
-                            "total_memo_hits"}) {
+    for (const char* key : {"rounds", "total_simulated", "total_budget_charged"}) {
       const JsonValue* field = selection->find(key);
       if (field == nullptr || !field->is(JsonValue::Type::kNumber))
         return fail(std::string("selection.") + key + " missing or not a number");

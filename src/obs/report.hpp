@@ -114,8 +114,7 @@ struct RunReportInputs {
 
 /// Serialize the Recorder's event sink as a Chrome trace-event document:
 /// `{"traceEvents": [...], "displayTimeUnit": "ms"}`. Events keep sink
-/// order (deterministic: coordinating-thread order with per-wave buffers
-/// merged in slot order).
+/// order (the coordinating thread's order, so deterministic).
 [[nodiscard]] std::string chrome_trace_json(const Recorder& recorder);
 
 struct ValidationResult {

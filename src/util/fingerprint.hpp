@@ -1,10 +1,7 @@
 #pragma once
-// Deterministic 128-bit fingerprints for selection-round memoization
-// (DESIGN.md §11). A Fingerprint identifies a byte-exact problem instance:
-// the selector hashes the round snapshot (queue contents + cloud profile)
-// and combines in the candidate's portfolio index; a memo slot whose stored
-// fingerprint matches guarantees — up to a 2^-128 collision, see below —
-// that the stored SimOutcome is the one a fresh simulation would produce.
+// Deterministic 128-bit fingerprints of byte-exact inputs. The checkpoint
+// layer (DESIGN.md §14) fingerprints the producing configuration, so a
+// checkpoint is only ever resumed under the config that wrote it.
 //
 // Design constraints:
 //  * Pure function of the input bytes: no pointers, no addresses, no
@@ -17,9 +14,7 @@
 //    online simulator is deterministic. (-0.0 and 0.0 hash differently;
 //    that is deliberate — they are different inputs.)
 //  * Two independent 64-bit FNV-1a streams (different offset bases) make
-//    accidental collision probability ~2^-128 per lookup. The memo layer
-//    treats a matching 128-bit fingerprint as proof of input identity; the
-//    paranoid re-check lives behind SelectorConfig::verify_memo.
+//    accidental collision probability ~2^-128 per lookup.
 
 #include <bit>
 #include <cstdint>

@@ -14,12 +14,12 @@
 //    accessed from more than one thread (ThreadPool's queue, batch error
 //    slots).
 //  * PSCHED_CONFINED_TO(description): a documentation-only marker for state
-//    that is single-threaded by construction — the selector's coordinator
-//    state, the invariant checker's observer hooks. It expands to nothing
-//    under every compiler on purpose: inventing a fake capability for
-//    "the coordinating thread" would make the clang analysis claim to verify
-//    an invariant it cannot see. Confinement is instead enforced by the
-//    determinism tests (bit-identical results across eval_threads widths).
+//    that is single-threaded by construction — the recorder's aggregates,
+//    the invariant checker's observer hooks. It expands to nothing under
+//    every compiler on purpose: inventing a fake capability for "the
+//    coordinating thread" would make the clang analysis claim to verify an
+//    invariant it cannot see. Confinement is instead enforced by the
+//    determinism tests (bit-identical results across pool widths).
 
 #if defined(__clang__)
 #define PSCHED_THREAD_ANNOTATION(x) __attribute__((x))

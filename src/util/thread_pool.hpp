@@ -1,9 +1,9 @@
 #pragma once
 // A fixed-size thread pool used to parallelize independent experiment
-// configurations (bench sweeps) and the selector's candidate-evaluation
-// waves. Tasks are type-erased; `parallel_for` provides the common
-// fork-join pattern with exception propagation, and `run_batch` the
-// nested-safe variant the selector uses from inside pool workers.
+// configurations (scenario sweeps) and the tenants of a multi-tenant epoch.
+// Tasks are type-erased; `parallel_for` provides the common fork-join
+// pattern with exception propagation, and `run_batch` the nested-safe
+// variant that may run from inside pool workers.
 //
 // Shared state is annotated with the clang thread-safety capability macros
 // (util/thread_annotations.hpp): under clang, -Wthread-safety verifies that
@@ -57,8 +57,8 @@ class ThreadPool {
   /// `fn(i)` writes the result slot the caller indexed by `i`, so collected
   /// results keep submission order regardless of which thread ran which
   /// task. Unlike parallel_for, the calling thread helps drain the batch, so
-  /// run_batch is safe to call from inside a pool worker (nested selector
-  /// waves under an outer scenario sweep): the batch completes even when
+  /// run_batch is safe to call from inside a pool worker (a tenant epoch
+  /// stepped from inside an outer sweep): the batch completes even when
   /// every other worker is busy, and the caller never waits on helper tasks
   /// the pool has not scheduled yet — stragglers find the index space
   /// exhausted and return without touching the (shared) batch state's work.

@@ -25,11 +25,8 @@ struct Scenario {
   bool portfolio = false;          ///< run the portfolio scheduler instead
   /// Portfolio scenarios run the selector in fixed-count budget mode (no
   /// clock reads), so a failing seed replays identically while shrinking
-  /// regardless of machine load; both knobs are fuzzed per seed.
+  /// regardless of machine load; the count is fuzzed per seed.
   std::size_t selector_fixed_count = 0;
-  std::size_t selector_eval_threads = 1;
-  bool selector_memoize = true;
-  bool selector_verify_memo = false;
   /// Multi-tenant scenarios (engine/tenant.hpp): the job prefix is sharded
   /// round-robin across this many tenants, each cleaned to its quota floor.
   /// 0 = single-tenant (the classic path).
@@ -96,13 +93,9 @@ Scenario make_scenario(std::uint64_t seed, const FuzzConfig& fuzz,
   } else {
     // Drawn last so the earlier scenario-shape draws keep their streams.
     s.selector_fixed_count = static_cast<std::size_t>(rng.uniform_int(1, 24));
-    s.selector_eval_threads = static_cast<std::size_t>(rng.uniform_int(1, 4));
-    // Seed-derived (not RNG-drawn) so the failure-knob draws below keep
-    // their streams: half the portfolio seeds run with the memo cache off,
-    // and the cached half cross-checks every hit against a fresh simulation
-    // (verify_memo) — the fuzzer doubles as a fingerprint-collision hunt.
-    s.selector_memoize = seed % 2 == 0;
-    s.selector_verify_memo = true;
+    // Discarded draw: keeps the failure/pricing/tenant/checkpoint knobs
+    // below on their established stream positions, so seeds replay as-is.
+    (void)rng.uniform_int(1, 4);
   }
 
   if (fuzz.fuzz_failures && seed % 3 == 0) {
@@ -259,9 +252,6 @@ core::PortfolioSchedulerConfig fuzz_portfolio_config(const Scenario& s) {
   pconfig.selection_period_ticks = 16;
   pconfig.selector.budget_mode = core::BudgetMode::kFixedCount;
   pconfig.selector.fixed_count = s.selector_fixed_count;
-  pconfig.selector.eval_threads = s.selector_eval_threads;
-  pconfig.selector.memoize = s.selector_memoize;
-  pconfig.selector.verify_memo = s.selector_verify_memo;
   return pconfig;
 }
 

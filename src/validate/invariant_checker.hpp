@@ -101,10 +101,9 @@ struct TenantAllocation {
 };
 
 /// All observer hooks run on the engine's event-loop thread: the engine is
-/// single-threaded (selector candidate waves parallelize *inner* what-if
-/// simulations, never the outer engine), so the checker's counters need no
-/// locking. PSCHED_CONFINED_TO records this; attaching one checker to
-/// engines on multiple threads is unsupported.
+/// single-threaded, so the checker's counters need no locking.
+/// PSCHED_CONFINED_TO records this; attaching one checker to engines on
+/// multiple threads is unsupported.
 class InvariantChecker final : public sim::SimObserver, public cloud::ProviderObserver {
  public:
   /// `provider` carries the *intended* semantics (cap, boot delay, billing
@@ -155,7 +154,7 @@ class InvariantChecker final : public sim::SimObserver, public cloud::ProviderOb
                   double provider_charged_hours);
 
   // --- multi-tenant service hooks (engine/tenant.hpp, DESIGN.md §13) --------
-  // Called on the coordinating thread between tenant waves — never
+  // Called on the coordinating thread between tenant epochs — never
   // concurrently with the per-tenant engine hooks above, which run on
   // per-tenant checkers.
   /// One arbitration decision: global-cap and weighted max-min fairness.

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace psched::core {
 namespace {
+
+// The scheduler borrows its portfolio: a temporary must not compile.
+static_assert(!std::is_constructible_v<PortfolioScheduler, policy::Portfolio,
+                                       PortfolioSchedulerConfig>);
+static_assert(std::is_constructible_v<PortfolioScheduler, const policy::Portfolio&,
+                                      PortfolioSchedulerConfig>);
 
 const policy::Portfolio& portfolio() {
   static const policy::Portfolio p = policy::Portfolio::paper_portfolio();

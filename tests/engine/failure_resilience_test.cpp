@@ -1,5 +1,5 @@
 // Engine-level failure/resilience coverage: the failure-off no-op guarantee,
-// determinism of failure-enabled runs across eval-thread counts, crash-kill/
+// determinism of failure-enabled runs across repeats, crash-kill/
 // resubmission accounting, resubmission exhaustion, boot-failure retries, and
 // API-outage backoff — all with the invariant checker attached in abort mode
 // so a passing test doubles as an invariant proof.
@@ -108,32 +108,29 @@ TEST(FailureResilience, AllZeroRatesAreBitIdenticalSinglePolicy) {
   EXPECT_EQ(a.invariant_checks, b.invariant_checks);
 }
 
-TEST(FailureResilience, AllZeroRatesAreBitIdenticalPortfolioAcrossThreads) {
+TEST(FailureResilience, AllZeroRatesAreBitIdenticalPortfolio) {
   const workload::Trace trace("t", 64, mixed_jobs());
   const EngineConfig base = checked_config();
   EngineConfig zeroed = base;
   zeroed.failure.seed = 42;  // rates all zero
 
-  auto run_with = [&](const EngineConfig& config, std::size_t threads) {
+  auto run_with = [&](const EngineConfig& config) {
     core::PortfolioSchedulerConfig pconfig = paper_portfolio_config(config);
     pconfig.selection_period_ticks = 8;
     pconfig.selector.budget_mode = core::BudgetMode::kFixedCount;
     pconfig.selector.fixed_count = 12;
-    pconfig.selector.eval_threads = threads;
     return run_portfolio(config, trace, portfolio(), pconfig,
                          PredictorKind::kPerfect).run;
   };
 
-  const RunResult reference = run_with(base, 1);
-  expect_identical(reference, run_with(zeroed, 1));
-  expect_identical(reference, run_with(zeroed, 4));
+  expect_identical(run_with(base), run_with(zeroed));
 }
 
 // ---------------------------------------------------------------------------
 // Failure-enabled runs stay deterministic: fixed seed, fixed-count selector
-// budget, any eval-thread count.
+// budget.
 
-TEST(FailureResilience, FailureRunDeterministicAcrossEvalThreads) {
+TEST(FailureResilience, FailureRunDeterministicAcrossRepeats) {
   const workload::Trace trace("t", 64, mixed_jobs());
   EngineConfig config = checked_config();
   config.failure.p_boot_fail = 0.1;
@@ -142,21 +139,17 @@ TEST(FailureResilience, FailureRunDeterministicAcrossEvalThreads) {
   config.failure.api_outage_duration_seconds = 300.0;
   config.failure.seed = 7;
 
-  auto run_with = [&](std::size_t threads) {
+  auto run = [&] {
     core::PortfolioSchedulerConfig pconfig = paper_portfolio_config(config);
     pconfig.selection_period_ticks = 8;
     pconfig.selector.budget_mode = core::BudgetMode::kFixedCount;
     pconfig.selector.fixed_count = 12;
-    pconfig.selector.eval_threads = threads;
     return run_portfolio(config, trace, portfolio(), pconfig,
                          PredictorKind::kPerfect).run;
   };
 
-  const RunResult one = run_with(1);
-  expect_identical(one, run_with(2));
-  expect_identical(one, run_with(4));
-  // And across repeated identical runs.
-  expect_identical(one, run_with(1));
+  const RunResult one = run();
+  expect_identical(one, run());
 }
 
 // ---------------------------------------------------------------------------

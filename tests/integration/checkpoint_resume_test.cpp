@@ -1,18 +1,17 @@
 // Resume-identity proofs for the checkpoint subsystem (DESIGN.md §14): a
 // run interrupted at a checkpoint and resumed must produce a byte-for-byte
 // identical "psched-run-report/v1" document to the uninterrupted run — not
-// approximately, not within tolerance. The matrix crosses the three
+// approximately, not within tolerance. The proofs cover the three
 // committed golden scenarios (the fig5 paper setup, a failures+pricing
-// single-policy run, and the mixed multi-tenant service) with the knobs the
-// engine promises are bit-identical: eval_threads 1/2/4 and the selection
-// memo on/off, always with at least two checkpoint epochs on disk.
+// single-policy run, and the mixed multi-tenant service, also across tenant
+// pool widths), always with at least two checkpoint epochs on disk.
 //
 // Full-report byte comparison needs every report field deterministic, so
-// the matrix cells run the selector in fixed-count budget mode (selection
-// cost is charged in simulation counts, no wall clock). The paper-config
-// golden reproductions compare the metric snapshot instead, against the
-// *committed* golden files — proving a resumed run reproduces repository
-// history, not just a same-binary twin.
+// the portfolio proofs run the selector in fixed-count budget mode
+// (selection cost is charged in simulation counts, no wall clock). The
+// paper-config golden reproductions compare the metric snapshot instead,
+// against the *committed* golden files — proving a resumed run reproduces
+// repository history, not just a same-binary twin.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -99,7 +98,7 @@ engine::CheckpointConfig checkpoint_config(const fs::path& dir,
   return c;
 }
 
-TEST(CheckpointResume, Fig5PortfolioMatrixThreadsByMemo) {
+TEST(CheckpointResume, Fig5PortfolioResumeIsByteIdentical) {
   const workload::Trace trace = fig5_trace();
   ASSERT_FALSE(trace.empty());
   const engine::EngineConfig config = engine::paper_engine_config();
@@ -111,79 +110,35 @@ TEST(CheckpointResume, Fig5PortfolioMatrixThreadsByMemo) {
   pconfig.selector.fixed_count = 12;
   pconfig.selection_period_ticks = 16;
 
-  // Metric values must agree across every cell, bit for bit (map equality
-  // on the raw doubles — the engine contract, not a tolerance check).
-  Golden canonical_metrics;
-  const auto metrics_of = [](const engine::ScenarioResult& r) {
-    Golden g;
-    const metrics::RunMetrics& m = r.run.metrics;
-    g["jobs"] = static_cast<double>(m.jobs);
-    g["avg_bounded_slowdown"] = m.avg_bounded_slowdown;
-    g["max_bounded_slowdown"] = m.max_bounded_slowdown;
-    g["avg_wait"] = m.avg_wait;
-    g["rj_proc_seconds"] = m.rj_proc_seconds;
-    g["rv_charged_seconds"] = m.rv_charged_seconds;
-    g["makespan"] = m.makespan;
-    g["ticks"] = static_cast<double>(r.run.ticks);
-    g["total_leases"] = static_cast<double>(r.run.total_leases);
-    g["selection_invocations"] = static_cast<double>(r.portfolio.invocations);
-    return g;
-  };
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (const bool memo : {true, false}) {
-      auto cell = pconfig;
-      cell.selector.eval_threads = threads;
-      cell.selector.memoize = memo;
-      const std::string tag =
-          "t" + std::to_string(threads) + (memo ? "m1" : "m0");
-      SCOPED_TRACE("cell " + tag);
-      util::ThreadPool pool(threads);
-      util::ThreadPool* eval_pool = threads > 1 ? &pool : nullptr;
+  const engine::ScenarioResult straight = engine::run_portfolio(
+      config, trace, portfolio, pconfig, engine::PredictorKind::kPerfect);
+  const std::string straight_report = report_of(straight, config);
 
-      const engine::ScenarioResult straight = engine::run_portfolio(
-          config, trace, portfolio, cell, engine::PredictorKind::kPerfect,
-          eval_pool);
-      const std::string straight_report = report_of(straight, config);
+  const fs::path dir = scratch_dir("fig5");
+  // 7 days at a 20 s period is ~30k ticks; every 2500 epochs lands well
+  // over the two-checkpoint floor the proof requires.
+  engine::CheckpointConfig ckpt = checkpoint_config(dir, 2500);
+  engine::CheckpointStats write_stats;
+  const engine::ScenarioResult checkpointed = engine::run_portfolio_checkpointed(
+      config, trace, portfolio, pconfig, engine::PredictorKind::kPerfect, ckpt,
+      write_stats);
+  EXPECT_GE(write_stats.written, 2u);
+  EXPECT_EQ(report_of(checkpointed, config), straight_report)
+      << "checkpoint supervision must not move a single byte";
 
-      const fs::path dir = scratch_dir(tag);
-      // 7 days at a 20 s period is ~30k ticks; every 2500 epochs lands
-      // well over the two-checkpoint floor the matrix requires.
-      engine::CheckpointConfig ckpt = checkpoint_config(dir, 2500);
-      engine::CheckpointStats write_stats;
-      const engine::ScenarioResult checkpointed =
-          engine::run_portfolio_checkpointed(config, trace, portfolio, cell,
-                                             engine::PredictorKind::kPerfect,
-                                             ckpt, write_stats, eval_pool);
-      EXPECT_GE(write_stats.written, 2u);
-      EXPECT_EQ(report_of(checkpointed, config), straight_report)
-          << "checkpoint supervision must not move a single byte";
-
-      engine::CheckpointConfig resume = ckpt;
-      resume.resume_from = "auto";
-      engine::CheckpointStats resume_stats;
-      const engine::ScenarioResult resumed =
-          engine::run_portfolio_checkpointed(config, trace, portfolio, cell,
-                                             engine::PredictorKind::kPerfect,
-                                             resume, resume_stats, eval_pool);
-      EXPECT_EQ(resume_stats.restored, 1u);
-      EXPECT_EQ(resume_stats.rejected, 0u);
-      EXPECT_GT(resume_stats.resumed_epoch, 0u);
-      EXPECT_EQ(report_of(resumed, config), straight_report)
-          << "resume must be byte-identical to the uninterrupted run";
-
-      // Cross-cell: thread width and memo state may change counters in the
-      // report, but never a metric value.
-      const Golden cell_metrics = metrics_of(straight);
-      if (canonical_metrics.empty()) {
-        canonical_metrics = cell_metrics;
-      } else {
-        EXPECT_EQ(cell_metrics, canonical_metrics)
-            << "metrics diverged across the threads x memo matrix";
-      }
-      std::error_code ec;
-      fs::remove_all(dir, ec);
-    }
-  }
+  engine::CheckpointConfig resume = ckpt;
+  resume.resume_from = "auto";
+  engine::CheckpointStats resume_stats;
+  const engine::ScenarioResult resumed = engine::run_portfolio_checkpointed(
+      config, trace, portfolio, pconfig, engine::PredictorKind::kPerfect, resume,
+      resume_stats);
+  EXPECT_EQ(resume_stats.restored, 1u);
+  EXPECT_EQ(resume_stats.rejected, 0u);
+  EXPECT_GT(resume_stats.resumed_epoch, 0u);
+  EXPECT_EQ(report_of(resumed, config), straight_report)
+      << "resume must be byte-identical to the uninterrupted run";
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 TEST(CheckpointResume, Fig5ResumedReproducesTheCommittedGolden) {

@@ -98,20 +98,6 @@ TEST(Recorder, ScopeEmitsMatchedBeginEndAtTraceLevel) {
   EXPECT_LE(events[0].ts_us, events[1].ts_us);
 }
 
-TEST(Recorder, MergeEventsKeepsCallerOrder) {
-  Recorder rec(ObsConfig{ObsLevel::kTrace});
-  std::vector<TraceEvent> buffer;
-  buffer.push_back(TraceEvent{"a", 'B', 1, 1, ""});
-  buffer.push_back(TraceEvent{"a", 'E', 2, 1, ""});
-  rec.merge_events(std::move(buffer));
-  rec.instant("marker", 0, "{\"k\":1}");
-  const auto events = rec.events_snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_STREQ(events[0].name, "a");
-  EXPECT_EQ(events[2].phase, 'i');
-  EXPECT_EQ(events[2].args_json, "{\"k\":1}");
-}
-
 // --- JSON helpers ------------------------------------------------------------
 
 TEST(Json, EscapesControlCharactersAndQuotes) {
@@ -364,7 +350,7 @@ TEST(ObsEndToEnd, PortfolioTraceAndReportValidate) {
   Recorder rec(ObsConfig{ObsLevel::kTrace});
   const auto result =
       engine::run_portfolio(config, trace, test_portfolio(), pconfig,
-                            engine::PredictorKind::kPerfect, nullptr, &rec);
+                            engine::PredictorKind::kPerfect, &rec);
 
   // Selection-round telemetry matches the engine's own reflection.
   EXPECT_EQ(rec.rounds().size(), result.portfolio.invocations);
@@ -399,13 +385,11 @@ TEST(ObsEndToEnd, PortfolioTraceAndReportValidate) {
 }
 
 TEST(ObsEndToEnd, ObservationNeverChangesSimulationOutput) {
-  // The determinism contract: an observed run (full tracing, wave-parallel
-  // evaluation) must be bit-identical to the unobserved run. EXPECT_EQ on
-  // doubles is deliberate.
+  // The determinism contract: an observed run (full tracing) must be
+  // bit-identical to the unobserved run. EXPECT_EQ on doubles is deliberate.
   const engine::EngineConfig config = engine::paper_engine_config();
   const workload::Trace trace = small_trace();
-  auto pconfig = engine::paper_portfolio_config(config);
-  pconfig.selector.eval_threads = 4;
+  const auto pconfig = engine::paper_portfolio_config(config);
 
   const auto baseline =
       engine::run_portfolio(config, trace, test_portfolio(), pconfig,
@@ -413,7 +397,7 @@ TEST(ObsEndToEnd, ObservationNeverChangesSimulationOutput) {
   Recorder rec(ObsConfig{ObsLevel::kTrace});
   const auto observed =
       engine::run_portfolio(config, trace, test_portfolio(), pconfig,
-                            engine::PredictorKind::kPerfect, nullptr, &rec);
+                            engine::PredictorKind::kPerfect, &rec);
 
   EXPECT_EQ(baseline.run.metrics.jobs, observed.run.metrics.jobs);
   EXPECT_EQ(baseline.run.metrics.avg_bounded_slowdown,

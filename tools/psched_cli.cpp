@@ -12,8 +12,8 @@
 //        [--scheduler portfolio|POLICY-NAME] [--predictor accurate|predicted|
 //         user-estimate|last-runtime|running-mean|ewma]
 //        [--delta MS] [--budget-mode wallclock|fixed-count] [--fixed-count N]
-//        [--eval-threads N] [--period TICKS] [--backfill] [--no-memo]
-//        [--on-change] [--reflection] [--quantum SECONDS] [--csv FILE]
+//        [--period TICKS] [--backfill] [--on-change] [--reflection]
+//        [--quantum SECONDS] [--csv FILE]
 //        [--check-invariants] [--inject-fault NAME] [--differential]
 //        [--obs-level off|counters|trace] [--report-out FILE.json]
 //        [--trace-out FILE.json]
@@ -24,16 +24,14 @@
 //        [--price-schedule T:MULT,...[,walk:STEP]] [--reserved N[:DISCOUNT]]
 //        [--pricing-seed S]
 //        [--tenants N] [--tenant-weights W1,...,WN] [--tenant-budget HOURS]
-//        [--arbitration-ticks T]
+//        [--arbitration-ticks T] [--eval-threads N]
 //        [--checkpoint-every N] [--checkpoint-dir DIR] [--checkpoint-keep K]
 //        [--resume-from FILE|auto]
-//       Run one scenario and print the paper's metrics. --eval-threads N
-//       simulates selector candidates in parallel waves of N (0 = hardware
-//       concurrency; default 1 = the sequential algorithm).
+//       Run one scenario and print the paper's metrics.
 //       --budget-mode fixed-count accounts the selection budget as a
 //       per-round simulation count (--fixed-count N, 0 = unbounded) instead
 //       of wall-clock milliseconds: no clock reads, so runs are bit-identical
-//       across machines and --eval-threads widths.
+//       across machines.
 //       Validation: --check-invariants attaches the runtime invariant
 //       checker (aborts with context on the first violation);
 //       --inject-fault NAME (billing-off-by-one, skip-boot-delay,
@@ -74,9 +72,12 @@
 //       stream); a trace file or --workflows campaign is sharded
 //       round-robin. --tenant-weights sets per-tenant fairness weights
 //       (comma list, default equal); --tenant-budget sets one per-tenant
-//       VM-hour budget (0 = unlimited). The run report gains the
-//       "psched-tenants/v1" section; --trace-out and --differential are
-//       not supported in this mode.
+//       VM-hour budget (0 = unlimited); --eval-threads N steps the tenants
+//       of each epoch on N threads (0 = hardware concurrency, default 1;
+//       results are bit-identical at any N, and the flag is a usage error
+//       without --tenants). The run report gains the "psched-tenants/v1"
+//       section; --trace-out and --differential are not supported in this
+//       mode.
 //       Checkpoint/restore (DESIGN.md §14): --checkpoint-every N writes a
 //       "psched-checkpoint/v1" file every N epochs (scheduling periods, or
 //       arbitration epochs with --tenants) into --checkpoint-dir (default
@@ -450,8 +451,8 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
     mt.tenants.push_back(std::move(tenant));
   }
 
-  // The pool hosts both tenant waves and every tenant selector's candidate
-  // waves; results are bit-identical at any width (0 = hardware concurrency).
+  // The pool steps the tenants of each epoch; results are bit-identical at
+  // any width (0 = hardware concurrency).
   const auto eval_threads = static_cast<std::size_t>(args.get_int("eval-threads", 1));
   std::unique_ptr<util::ThreadPool> pool;
   if (eval_threads != 1) pool = std::make_unique<util::ThreadPool>(eval_threads);
@@ -687,6 +688,11 @@ int cmd_run(const util::ArgParser& args) {
     return 1;
   }
   const auto tenant_count = static_cast<std::size_t>(tenants_arg);
+  if (tenant_count == 0 && args.has("eval-threads")) {
+    std::fputs("error: --eval-threads sizes the tenant pool and needs --tenants\n",
+               stderr);
+    return 1;
+  }
   if (tenant_count > 0 && args.get_bool("differential")) {
     std::fputs("error: --differential is not supported with --tenants\n", stderr);
     return 1;
@@ -734,15 +740,10 @@ int cmd_run(const util::ArgParser& args) {
                  stderr);
       return 1;
     }
-    pconfig.selector.eval_threads =
-        static_cast<std::size_t>(args.get_int("eval-threads", 1));
     pconfig.selection_period_ticks =
         static_cast<std::uint64_t>(args.get_int("period", 1));
     if (args.get_bool("on-change")) pconfig.trigger = core::SelectionTrigger::kOnChange;
     pconfig.use_reflection_hints = args.get_bool("reflection");
-    // --no-memo disables the cross-round memo cache (identical results in
-    // the deterministic budget modes; use for A/B perf comparisons).
-    if (args.get_bool("no-memo")) pconfig.selector.memoize = false;
     // candidate-throw lives in the selector, not the provider: every online
     // candidate simulation throws and the run must still complete (graceful
     // degradation), exiting 0 with zero invariant violations.
@@ -755,11 +756,9 @@ int cmd_run(const util::ArgParser& args) {
     if (checkpointed)
       result = engine::run_portfolio_checkpointed(config, trace, portfolio,
                                                   pconfig, predictor, ckpt,
-                                                  ckpt_stats,
-                                                  /*eval_pool=*/nullptr, rec);
+                                                  ckpt_stats, rec);
     else
-      result = engine::run_portfolio(config, trace, portfolio, pconfig, predictor,
-                                     /*eval_pool=*/nullptr, rec);
+      result = engine::run_portfolio(config, trace, portfolio, pconfig, predictor, rec);
   } else {
     const policy::PolicyTriple* triple = portfolio.find(scheduler);
     if (triple == nullptr) {
