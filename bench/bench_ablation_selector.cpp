@@ -25,6 +25,9 @@ class RandomSubsetScheduler final : public core::Scheduler {
         k_(k),
         rng_(seed),
         current_(portfolio.policies().front()) {}
+  /// The scheduler borrows its portfolio; a temporary would dangle.
+  RandomSubsetScheduler(policy::Portfolio&& portfolio, core::OnlineSimConfig sim,
+                        std::size_t k, std::uint64_t seed) = delete;
 
   policy::PolicyTriple policy_for_tick(std::uint64_t /*tick*/,
                                        std::span<const policy::QueuedJob> queue,

@@ -4,10 +4,11 @@
 // until the queue drains, and score it with the utility function.
 //
 // This is intentionally NOT the outer DGSim-style engine: it is a tight,
-// allocation-light loop over plain vectors (the selection step runs it up to
-// 60 times per scheduling decision). Jobs run for their *predicted* runtime
-// — the simulator must not peek at actual runtimes (paper evaluates exactly
-// this information gap in §6.3).
+// allocation-light loop over plain vectors, stepping a whole group of
+// candidate policies at once (the selection step evaluates up to 60 of them
+// per scheduling decision, and most share long decision prefixes). Jobs run
+// for their *predicted* runtime — the simulator must not peek at actual
+// runtimes (paper evaluates exactly this information gap in §6.3).
 //
 // Cost accounting mirrors the outer engine's billing but only counts cost
 // incurred *from the snapshot onward*: already-paid time on existing VMs is
@@ -16,6 +17,7 @@
 // inner run (and idle VMs at paid-hour boundaries along the way, like the
 // engine's release rule).
 
+#include <exception>
 #include <span>
 #include <vector>
 
@@ -96,6 +98,19 @@ struct SimOutcome {
   std::size_t decisions = 0;    ///< decision-loop iterations executed
 };
 
+/// One group member's result: its outcome, or the exception one of its
+/// policy components threw (the outcome is then meaningless).
+struct MemberOutcome {
+  SimOutcome outcome;
+  std::exception_ptr error;
+};
+
+/// Work done by one group evaluation.
+struct GroupStats {
+  std::size_t paths = 0;  ///< distinct trajectories simulated to the end
+  std::size_t steps = 0;  ///< decision steps, summed over trajectories
+};
+
 /// Thread-safety: `simulate` is const-thread-safe — any number of threads
 /// may call it concurrently on one OnlineSimulator instance (with the same
 /// or different arguments), provided each concurrent call uses its own
@@ -111,23 +126,29 @@ class OnlineSimulator {
 
   [[nodiscard]] const OnlineSimConfig& config() const noexcept { return config_; }
 
-  /// Simulate `policy` scheduling `queue` starting from `profile`.
-  /// Deterministic: same inputs -> same outcome on every platform.
-  /// Convenience wrapper over the snapshot/arena fast path below: builds a
-  /// fresh RoundSnapshot and SimArena per call, so it is allocation-heavy
-  /// but needs no caller-side state. Safe to call concurrently.
-  [[nodiscard]] SimOutcome simulate(std::span<const policy::QueuedJob> queue,
-                                    const cloud::CloudProfile& profile,
-                                    const policy::PolicyTriple& policy) const;
+  /// Simulate `policies` as one group from `snapshot` (DESIGN.md §11.2):
+  /// members share one state while their decisions agree — each decision
+  /// is evaluated once per distinct policy component — and fork where they
+  /// differ. `out[i]` receives policy i's outcome, bit-identical to
+  /// simulating it alone; a component that throws fails only the members
+  /// using it. Every piece of mutable state lives in `arena`.
+  GroupStats simulate(const RoundSnapshot& snapshot,
+                      std::span<const policy::PolicyTriple> policies, SimArena& arena,
+                      std::span<MemberOutcome> out) const;
 
-  /// Fast path (DESIGN.md §11): simulate `policy` against a prebuilt round
-  /// snapshot, using `arena` for every piece of mutable state. Bit-identical
-  /// outcome to the wrapper above for the same (queue, profile) inputs. The
-  /// snapshot may be shared across concurrent calls; the arena may not —
-  /// one arena per concurrent caller.
+  /// Simulate one policy against a prebuilt round snapshot: the one-member
+  /// group. Rethrows the exception a component threw.
   [[nodiscard]] SimOutcome simulate(const RoundSnapshot& snapshot,
                                     const policy::PolicyTriple& policy,
                                     SimArena& arena) const;
+
+  /// Simulate `policy` scheduling `queue` starting from `profile`.
+  /// Deterministic: same inputs -> same outcome on every platform.
+  /// Convenience wrapper that builds a fresh RoundSnapshot and SimArena per
+  /// call, so it is allocation-heavy but needs no caller-side state.
+  [[nodiscard]] SimOutcome simulate(std::span<const policy::QueuedJob> queue,
+                                    const cloud::CloudProfile& profile,
+                                    const policy::PolicyTriple& policy) const;
 
  private:
   OnlineSimConfig config_;  ///< immutable after construction

@@ -32,7 +32,7 @@ class Scheduler {
 
   /// Attach an observability recorder (borrowed; null = unobserved). The
   /// base implementation ignores it; the portfolio scheduler forwards it to
-  /// its selector for round telemetry and candidate trace spans.
+  /// its selector for round telemetry and candidate-batch trace spans.
   virtual void set_recorder(obs::Recorder* /*recorder*/) {}
 
   /// Checkpoint support (DESIGN.md §14): fold the scheduler's cross-tick

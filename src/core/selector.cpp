@@ -9,15 +9,6 @@
 
 namespace psched::core {
 
-namespace {
-
-/// Trace-args payload for one candidate simulation.
-std::string candidate_args(std::size_t index) {
-  return "{\"policy\":" + std::to_string(index) + '}';
-}
-
-}  // namespace
-
 TimeConstrainedSelector::TimeConstrainedSelector(const policy::Portfolio& portfolio,
                                                  OnlineSimulator simulator,
                                                  SelectorConfig config)
@@ -56,48 +47,65 @@ void TimeConstrainedSelector::capture_checkpoint_state(util::StateDigest& digest
   digest.add_size("selector.poor_len", poor_.size());
 }
 
-double TimeConstrainedSelector::simulate_one(std::size_t index,
-                                             std::vector<PolicyScore>& scores,
-                                             std::vector<std::size_t>& quarantined) {
-  // Candidate trace spans use the recorder's clock (obs.cpp), independent of
+double TimeConstrainedSelector::candidate_cost(double measured_ms) const {
+  if (config_.budget_mode == BudgetMode::kFixedCount) return 1.0;
+  double cost = config_.synthetic_overhead_ms;
+  if (config_.use_measured_cost) cost += measured_ms;
+  return cost;
+}
+
+double TimeConstrainedSelector::evaluate(std::span<const std::size_t> candidates,
+                                         std::vector<PolicyScore>& scores,
+                                         std::vector<std::size_t>& quarantined) {
+  // Batch trace spans use the recorder's clock (obs.cpp), independent of
   // the budget clock below, so tracing can never perturb budget accounting.
   const bool tracing = recorder_ != nullptr && recorder_->tracing_on();
   if (tracing)
-    recorder_->append_event(obs::TraceEvent{"selector.candidate", 'B',
-                                            recorder_->now_us(), 0,
-                                            candidate_args(index)});
-  // kFixedCount reads no clock: every candidate charges exactly one unit,
-  // and a throwing candidate still consumed its budget slot.
-  const bool fixed = config_.budget_mode == BudgetMode::kFixedCount;
-  std::chrono::steady_clock::time_point start;
-  if (!fixed) start = std::chrono::steady_clock::now();
-  SimOutcome outcome;
-  bool failed = false;
-  try {
-    outcome = simulator_.simulate(snapshot_, portfolio_.policies()[index], arena_);
-  } catch (const std::exception&) {
-    failed = true;
-  }
-  double cost = 1.0;
-  if (!fixed) {
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    cost = config_.synthetic_overhead_ms;
-    if (config_.use_measured_cost)
-      cost += std::chrono::duration<double, std::milli>(elapsed).count();
-    // Per-candidate budget blow-out: the time was spent (cost is charged),
-    // but the result is not trusted into the ranking.
-    if (!failed && config_.candidate_timeout_ms > 0.0 &&
-        cost > config_.candidate_timeout_ms)
-      failed = true;
-  }
-  if (failed)
-    quarantined.push_back(index);
-  else
-    scores.push_back(PolicyScore{index, outcome.utility, cost});
-  if (tracing)
     recorder_->append_event(
-        obs::TraceEvent{"selector.candidate", 'E', recorder_->now_us(), 0, {}});
-  return cost;
+        obs::TraceEvent{"selector.batch", 'B', recorder_->now_us(), 0, {}});
+  // kFixedCount and synthetic-only accounting read no clock.
+  const bool fixed = config_.budget_mode == BudgetMode::kFixedCount;
+  const bool measured = !fixed && config_.use_measured_cost;
+  batch_policies_.clear();
+  for (const std::size_t index : candidates)
+    batch_policies_.push_back(portfolio_.policies()[index]);
+  batch_out_.resize(candidates.size());
+  std::chrono::steady_clock::time_point start;
+  if (measured) start = std::chrono::steady_clock::now();
+  const GroupStats stats =
+      simulator_.simulate(snapshot_, batch_policies_, arena_, batch_out_);
+  double measured_ms = 0.0;
+  if (measured) {
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    measured_ms = std::chrono::duration<double, std::milli>(elapsed).count();
+  }
+  // Every candidate of a batch charges an equal share of its wall time.
+  const double cost =
+      candidate_cost(measured_ms / static_cast<double>(candidates.size()));
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    // A throwing candidate still consumed its budget slot. Per-candidate
+    // budget blow-out: the time was spent (cost is charged), but the result
+    // is not trusted into the ranking.
+    const bool failed = batch_out_[k].error != nullptr ||
+                        (!fixed && config_.candidate_timeout_ms > 0.0 &&
+                         cost > config_.candidate_timeout_ms);
+    if (failed)
+      quarantined.push_back(candidates[k]);
+    else
+      scores.push_back(PolicyScore{candidates[k], batch_out_[k].outcome.utility, cost});
+  }
+  if (tracing) {
+    recorder_->append_event(obs::TraceEvent{
+        "selector.batch", 'E', recorder_->now_us(), 0,
+        "{\"policies\":" + std::to_string(candidates.size()) +
+            ",\"paths\":" + std::to_string(stats.paths) +
+            ",\"steps\":" + std::to_string(stats.steps) + '}'});
+  }
+  if (recorder_ != nullptr && recorder_->counters_on()) {
+    recorder_->counter_add("selector.paths", static_cast<double>(stats.paths));
+    recorder_->counter_add("selector.steps", static_cast<double>(stats.steps));
+  }
+  return measured_ms;
 }
 
 SelectionResult TimeConstrainedSelector::select(
@@ -159,8 +167,18 @@ SelectionResult TimeConstrainedSelector::select(
   scores.reserve(portfolio_.size());
   std::vector<std::size_t> quarantined;  // threw / blew per-candidate budget
   double charged_ms = 0.0;               // budget actually charged
+  // Only a bounded measured-wallclock round (or a measured per-candidate
+  // timeout) lets a charge depend on the simulation it pays for; there each
+  // candidate is evaluated as it is drawn. Every other round draws its
+  // whole candidate list first — the charges are known up front — and
+  // evaluates it as one shared-prefix batch (DESIGN.md §11.2).
+  const bool one_at_a_time = !fixed && config_.use_measured_cost &&
+                             (bounded || config_.candidate_timeout_ms > 0.0);
+  drawn_.clear();
   const auto charge = [&](std::size_t index, double& set_quota) {
-    const double cost = simulate_one(index, scores, quarantined);
+    drawn_.push_back(index);
+    const double cost = candidate_cost(
+        one_at_a_time ? evaluate({&index, 1}, scores, quarantined) : 0.0);
     set_quota -= cost;
     charged_ms += cost;
   };
@@ -187,6 +205,10 @@ SelectionResult TimeConstrainedSelector::select(
     poor_.pop_back();
     charge(index, quota);
   }
+  // The batch's measured wall time (0 unless measured) is charged on top of
+  // the per-candidate charges already taken.
+  if (!one_at_a_time && !drawn_.empty())
+    charged_ms += evaluate(drawn_, scores, quarantined);
 
   // Phase 3: rearrange (l.20-24). Un-simulated Smart leftovers age into
   // Stale; the simulated policies re-rank into Smart (top lambda) and Poor.

@@ -18,9 +18,13 @@
 // clock read from the selection path and makes a round reproducible
 // bit-for-bit across machines.
 //
-// Candidates are simulated one at a time, as in the paper: Smart, then
-// Stale, then Poor, each against the same per-round RoundSnapshot and in
-// one reused SimArena (DESIGN.md §11).
+// Candidates are drawn one at a time, as in the paper: Smart, then Stale,
+// then Poor. Whenever no budget charge depends on a measurement, the
+// round's whole candidate list is drawn first and simulated as one
+// shared-prefix group against the per-round RoundSnapshot; bounded
+// measured-wallclock rounds simulate each candidate as it is drawn through
+// the same evaluator (DESIGN.md §11.2). Either way scores, RNG draws,
+// quarantine order and budget charges are those of the sequential loop.
 //
 // Graceful degradation (DESIGN.md §10): a candidate whose online simulation
 // throws — or, under a candidate_timeout_ms bound, blows its per-candidate
@@ -160,6 +164,12 @@ class TimeConstrainedSelector {
   [[nodiscard]] const std::deque<std::size_t>& stale() const noexcept { return stale_; }
   [[nodiscard]] const std::vector<std::size_t>& poor() const noexcept { return poor_; }
 
+  /// The candidates the last select() drew, in draw order: the members of
+  /// its shared-prefix batch, or its one-at-a-time sequence.
+  [[nodiscard]] const std::vector<std::size_t>& last_candidates() const noexcept {
+    return drawn_;
+  }
+
   [[nodiscard]] const SelectorConfig& config() const noexcept { return config_; }
   [[nodiscard]] const OnlineSimulator& simulator() const noexcept { return simulator_; }
 
@@ -179,12 +189,16 @@ class TimeConstrainedSelector {
   void capture_checkpoint_state(util::StateDigest& digest) const;
 
  private:
-  /// Simulate policy `index` against the current round snapshot and append
-  /// its score to `scores`; returns the budget charged (one unit in
-  /// kFixedCount mode). A candidate that throws or blows the per-candidate
-  /// budget lands in `quarantined` instead of `scores`.
-  double simulate_one(std::size_t index, std::vector<PolicyScore>& scores,
-                      std::vector<std::size_t>& quarantined);
+  /// Budget one candidate charges when its simulation took `measured_ms`
+  /// of wall time (one unit in kFixedCount mode).
+  [[nodiscard]] double candidate_cost(double measured_ms) const;
+
+  /// Simulate `candidates` as one shared-prefix group and append their
+  /// scores (or quarantine them) in order. Returns the measured wall time
+  /// in ms (0 when the budget reads no clock); each candidate is charged an
+  /// equal share of it.
+  double evaluate(std::span<const std::size_t> candidates,
+                  std::vector<PolicyScore>& scores, std::vector<std::size_t>& quarantined);
 
   const policy::Portfolio& portfolio_;
   OnlineSimulator simulator_;
@@ -197,10 +211,13 @@ class TimeConstrainedSelector {
   std::vector<std::size_t> poor_;
 
   // Hot-path state (DESIGN.md §11): the snapshot is rebuilt once per
-  // select() and read by every candidate; the arena is the candidates'
-  // reused scratch.
+  // select() and read by every candidate; the arena (with its branch pool)
+  // and the batch buffers are reused across rounds.
   RoundSnapshot snapshot_;
   SimArena arena_;
+  std::vector<std::size_t> drawn_;  ///< this round's candidates, in draw order
+  std::vector<policy::PolicyTriple> batch_policies_;
+  std::vector<MemberOutcome> batch_out_;
 };
 
 }  // namespace psched::core

@@ -194,6 +194,7 @@ void ClusterSimulation::on_tick() {
   const cloud::CloudProfile profile = make_profile();
   const policy::PolicyTriple policy =
       scheduler_.policy_for_tick(tick_index, annotated, profile);
+  if (checker_) checker_->on_policy_decision(scheduler_, annotated, profile, now);
   if (policy != context_policy_) {
     // Re-format the context label only on a policy switch (rare).
     context_policy_ = policy;

@@ -106,6 +106,10 @@ class ClusterSimulation {
   ClusterSimulation(EngineConfig config, const workload::Trace& trace,
                     core::Scheduler& scheduler, predict::RuntimePredictor& predictor,
                     obs::Recorder* recorder = nullptr);
+  /// A temporary trace would dangle at the first event.
+  ClusterSimulation(EngineConfig config, workload::Trace&& trace,
+                    core::Scheduler& scheduler, predict::RuntimePredictor& predictor,
+                    obs::Recorder* recorder = nullptr) = delete;
 
   /// Execute the whole trace to completion and return the metrics.
   /// Single-shot: constructing a fresh ClusterSimulation per run keeps

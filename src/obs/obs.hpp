@@ -36,7 +36,7 @@ enum class ObsLevel {
   kOff,       ///< nothing: null-branch cost, no clock reads
   kCounters,  ///< counters, gauges, phase timers, selection-round records
   kTrace,     ///< + Chrome-trace events (engine ticks, selector rounds,
-              ///<   candidate simulations, provider lease/release)
+              ///<   candidate batches, provider lease/release)
 };
 
 struct ObsConfig {

@@ -1,6 +1,8 @@
 #include "validate/invariant_checker.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <utility>
 
@@ -263,6 +265,61 @@ void InvariantChecker::on_job_finished(const metrics::JobRecord& record, SimTime
 
 void InvariantChecker::on_job_killed(JobId /*job*/, SimTime /*now*/) {
   ++observed_kills_;
+}
+
+void InvariantChecker::on_policy_decision(const core::Scheduler& scheduler,
+                                          std::span<const policy::QueuedJob> queue,
+                                          const cloud::CloudProfile& profile,
+                                          SimTime now) {
+  const auto* portfolio = dynamic_cast<const core::PortfolioScheduler*>(&scheduler);
+  if (portfolio == nullptr) return;
+  const std::size_t rounds = portfolio->reflection().invocations();
+  if (rounds == rounds_seen_) return;  // no selection round this tick
+  rounds_seen_ = rounds;
+  if ((rounds - 1) % kSharedPrefixStride != 0) return;
+
+  // The round's inputs are exactly this tick's (queue, profile); its
+  // candidates are the ones the selector drew.
+  const core::TimeConstrainedSelector& selector = portfolio->selector();
+  const core::OnlineSimulator& sim = selector.simulator();
+  std::vector<policy::PolicyTriple> policies;
+  for (const std::size_t index : selector.last_candidates())
+    policies.push_back(portfolio->portfolio().policies()[index]);
+  core::RoundSnapshot snapshot;
+  snapshot.build(queue, profile);
+  core::SimArena arena;
+  std::vector<core::MemberOutcome> group(policies.size());
+  (void)sim.simulate(snapshot, policies, arena, group);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    bool threw = false;
+    core::SimOutcome solo;
+    try {
+      solo = sim.simulate(snapshot, policies[i], arena);
+    } catch (const std::exception&) {
+      threw = true;
+    }
+    const core::SimOutcome& shared = group[i].outcome;
+    const bool same =
+        (group[i].error != nullptr) == threw &&
+        (threw || (bits(shared.utility) == bits(solo.utility) &&
+                   bits(shared.avg_bounded_slowdown) == bits(solo.avg_bounded_slowdown) &&
+                   bits(shared.rj_proc_seconds) == bits(solo.rj_proc_seconds) &&
+                   bits(shared.rv_charged_seconds) == bits(solo.rv_charged_seconds) &&
+                   bits(shared.sim_makespan) == bits(solo.sim_makespan) &&
+                   shared.decisions == solo.decisions));
+    if (!check(same)) {
+      char buf[256];
+      std::snprintf(buf, sizeof(buf),
+                    "selection round %zu, candidate %zu: group utility %.17g, "
+                    "RV %.17g (%zu decisions%s) vs one-policy %.17g, RV %.17g "
+                    "(%zu decisions%s)",
+                    rounds, i, shared.utility, shared.rv_charged_seconds,
+                    shared.decisions, group[i].error ? ", threw" : "", solo.utility,
+                    solo.rv_charged_seconds, solo.decisions, threw ? ", threw" : "");
+      fail("selector.shared_prefix", now, buf);
+    }
+  }
 }
 
 void InvariantChecker::on_tick_end(const JobCensus& census, std::size_t leased_vms,

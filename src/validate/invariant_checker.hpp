@@ -47,6 +47,10 @@
 //                          one VM above its own share (beyond its floor)
 //   tenant.conservation    per-tenant submitted == finished + killed-final
 //                          at the end of a multi-tenant run
+//   selector.shared_prefix on every 4th portfolio selection round, one
+//                          shared-prefix group evaluation of the round's
+//                          candidates equals one-policy evaluations of
+//                          each candidate, bit for bit (throws included)
 //
 // Violations either abort through util/assert.hpp::invariant_fail (with the
 // simulated clock / event / policy context) or, in record mode, accumulate
@@ -59,6 +63,7 @@
 #include <vector>
 
 #include "cloud/provider.hpp"
+#include "core/scheduler.hpp"
 #include "metrics/collector.hpp"
 #include "sim/simulator.hpp"
 #include "util/thread_annotations.hpp"
@@ -147,6 +152,15 @@ class InvariantChecker final : public sim::SimObserver, public cloud::ProviderOb
   /// A running job's slice was killed by a VM crash (it may be resubmitted
   /// or dropped for good; on_tick_end's census tells the two apart).
   void on_job_killed(JobId job, SimTime now);
+  /// The scheduler answered this tick's policy_for_tick(queue, profile).
+  /// When it is a portfolio scheduler that just ran its
+  /// (k * kSharedPrefixStride + 1)-th selection round, that round's
+  /// candidates are re-simulated one at a time and compared with one
+  /// shared-prefix group evaluation of them all (selector.shared_prefix).
+  void on_policy_decision(const core::Scheduler& scheduler,
+                          std::span<const policy::QueuedJob> queue,
+                          const cloud::CloudProfile& profile, SimTime now);
+  static constexpr std::size_t kSharedPrefixStride = 4;
   /// End of a scheduling tick: job conservation + cap re-check.
   void on_tick_end(const JobCensus& census, std::size_t leased_vms, SimTime now);
   /// End of run: event conservation, metric consistency, utility inputs.
@@ -187,6 +201,9 @@ class InvariantChecker final : public sim::SimObserver, public cloud::ProviderOb
   std::vector<Violation> violations_ PSCHED_CONFINED_TO("engine event loop");
 
   SimTime last_dispatch_ PSCHED_CONFINED_TO("engine event loop") = 0.0;
+  /// Selection rounds the observed portfolio scheduler had run at the last
+  /// policy decision (selector.shared_prefix sampling).
+  std::size_t rounds_seen_ PSCHED_CONFINED_TO("engine event loop") = 0;
   /// Checker's own running total of charged hours.
   double charged_total_hours_ PSCHED_CONFINED_TO("engine event loop") = 0.0;
   /// Sum of finished jobs' procs * runtime.

@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "engine/experiment.hpp"
 #include "workload/generator.hpp"
 
 namespace psched::engine {
 namespace {
+
+// The simulation borrows its trace: a temporary must not compile.
+static_assert(!std::is_constructible_v<ClusterSimulation, EngineConfig, workload::Trace,
+                                       core::Scheduler&, predict::RuntimePredictor&>);
+static_assert(std::is_constructible_v<ClusterSimulation, EngineConfig,
+                                      const workload::Trace&, core::Scheduler&,
+                                      predict::RuntimePredictor&>);
 
 const policy::Portfolio& portfolio() {
   static const policy::Portfolio p = policy::Portfolio::paper_portfolio();

@@ -361,6 +361,26 @@ TEST(ObsEndToEnd, PortfolioTraceAndReportValidate) {
     EXPECT_GT(round.simulated, 0u);
     EXPECT_STRNE(round.tie_path, "");
   }
+  // The default (unbounded) budget evaluates each round as one batch: one
+  // selector.batch span per round, its args on the closing event, and the
+  // paths/steps counters summing those args.
+  double paths = 0.0, steps = 0.0;
+  std::size_t batches = 0;
+  for (const TraceEvent& e : rec.events_snapshot()) {
+    EXPECT_STRNE(e.name, "selector.candidate");
+    if (std::string(e.name) != "selector.batch" || e.phase != 'E') continue;
+    ++batches;
+    const auto args = json_parse(e.args_json);
+    ASSERT_TRUE(args.ok) << args.error;
+    EXPECT_DOUBLE_EQ(args.value.find("policies")->number,
+                     static_cast<double>(test_portfolio().size()));
+    EXPECT_GE(args.value.find("paths")->number, 1.0);
+    paths += args.value.find("paths")->number;
+    steps += args.value.find("steps")->number;
+  }
+  EXPECT_EQ(batches, rec.rounds().size());
+  EXPECT_DOUBLE_EQ(rec.counters().at("selector.paths"), paths);
+  EXPECT_DOUBLE_EQ(rec.counters().at("selector.steps"), steps);
   // Provider lease/release flowed through the ProviderTracer.
   EXPECT_DOUBLE_EQ(rec.counters().at("provider.leases"),
                    static_cast<double>(result.run.total_leases));

@@ -170,5 +170,41 @@ TEST(InvariantChecker, KilledFinalJobsStayConserved) {
             12u);
 }
 
+TEST(InvariantChecker, SharedPrefixSamplesEveryFourthSelectionRound) {
+  // selector.shared_prefix re-simulates the 1st, 5th, 9th, ... selection
+  // round one candidate at a time: one check per drawn candidate on those
+  // rounds, none on ticks without a round or on the rounds in between.
+  InvariantChecker checker(ValidationConfig{}, cloud::ProviderConfig{});
+  core::PortfolioSchedulerConfig pconfig;
+  pconfig.selector.budget_mode = core::BudgetMode::kFixedCount;
+  pconfig.selector.fixed_count = 8;
+  pconfig.online_sim.utility = metrics::UtilityParams{100.0, 1.0, 1.0};
+  core::PortfolioScheduler scheduler(portfolio(), pconfig);
+  std::vector<policy::QueuedJob> queue(3);
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    queue[i].id = static_cast<JobId>(i);
+    queue[i].procs = static_cast<int>(1 + i);
+    queue[i].predicted_runtime = 600.0 * static_cast<double>(1 + i);
+  }
+  cloud::CloudProfile profile;
+  std::uint64_t expected = 0;
+  for (std::uint64_t tick = 0; tick < 6; ++tick) {
+    profile.now = 20.0 * static_cast<double>(tick);
+    (void)scheduler.policy_for_tick(tick, queue, profile);
+    checker.on_policy_decision(scheduler, queue, profile, profile.now);
+    // A repeated notification without a new round checks nothing.
+    checker.on_policy_decision(scheduler, queue, profile, profile.now);
+    if (tick == 0 || tick == 4) expected += scheduler.selector().last_candidates().size();
+    EXPECT_EQ(checker.checks_run(), expected) << "tick " << tick;
+  }
+  EXPECT_GE(expected, 2 * pconfig.selector.fixed_count);
+  EXPECT_EQ(checker.violation_count(), 0u);
+
+  // A fixed-policy scheduler has no selection rounds to check.
+  core::SinglePolicyScheduler single(portfolio().policies()[0]);
+  checker.on_policy_decision(single, queue, profile, profile.now);
+  EXPECT_EQ(checker.checks_run(), expected);
+}
+
 }  // namespace
 }  // namespace psched::validate
