@@ -24,6 +24,11 @@ class Scheduler {
 
   /// The policy governing this scheduling tick. `tick` counts scheduling
   /// periods from 0; the queue carries predicted runtimes.
+  ///
+  /// Empty-queue contract: with an empty queue an implementation returns
+  /// the incumbent policy and changes no state (no selection round, no RNG
+  /// draw, no cadence bookkeeping). The engine relies on it to skip quiet
+  /// scheduling instants without dispatching them (DESIGN.md §2).
   [[nodiscard]] virtual policy::PolicyTriple policy_for_tick(
       std::uint64_t tick, std::span<const policy::QueuedJob> queue,
       const cloud::CloudProfile& profile) = 0;

@@ -90,17 +90,76 @@ void ClusterSimulation::enqueue(const workload::Job& job, SimTime eligible) {
     return;
   }
   queue_.push_back(Waiting{&job, eligible});
-  arm_tick(sim_.now());
+  wake_tick();
 }
 
-void ClusterSimulation::arm_tick(SimTime not_before) {
-  if (tick_armed_) return;
+void ClusterSimulation::wake_tick() {
+  const SimTime now = sim_.now();
+  if (!chain_live_) {
+    // A new chain starts phase-aligned to multiples of the period.
+    const double period = config_.schedule_period;
+    next_instant_ = std::max(std::ceil(now / period) * period, now);
+    chain_live_ = true;
+  } else {
+    skip_instants_before(now);
+  }
+  // The re-armed tick takes a newer sequence number, so it still fires after
+  // every event already queued for its instant, as a chained tick would.
+  if (next_instant_ < armed_at_) arm_tick(next_instant_);
+}
+
+void ClusterSimulation::skip_instants_before(SimTime t) {
+  // Chained additions, not k * period: skipped and dispatched instants are
+  // the exact doubles an every-instant chain would produce.
+  while (next_instant_ < t) {
+    next_instant_ += config_.schedule_period;
+    ++ticks_run_;
+    ++ticks_skipped_;
+  }
+}
+
+void ClusterSimulation::arm_tick(SimTime when) {
+  sim_.cancel(tick_event_);  // no-op when nothing is armed
+  armed_at_ = when;
+  tick_event_ = sim_.at(when, [this] { on_tick(); });
+}
+
+SimTime ClusterSimulation::quiet_wake() const {
+  // With an empty queue a tick leases nothing, starts nothing, and keeps the
+  // incumbent policy (the empty-queue contract of Scheduler::policy_for_tick
+  // and ProvisioningPolicy); only its release step and telemetry can act.
+  bool any_idle = false;
+  for (const cloud::VmInstance& vm : provider_.vms()) {
+    if (vm.state != cloud::VmState::kIdle) continue;
+    // Eager surplus releases every idle VM (the reserve is 0); a doomed one
+    // is released under either rule.
+    if (config_.release_rule == ReleaseRule::kEagerSurplus || vm.doomed)
+      return next_instant_;
+    any_idle = true;
+  }
+  const std::uint64_t every = config_.telemetry_every_ticks;
+  if (!any_idle && every == 0) return kTimeNever;
+
   const double period = config_.schedule_period;
-  // Ticks stay phase-aligned to multiples of the period.
-  const double k = std::ceil(not_before / period);
-  const SimTime when = std::max(k * period, not_before);
-  tick_armed_ = true;
-  sim_.at(when, [this] { on_tick(); });
+  const double quantum = provider_.config().billing_quantum;
+  // Boundary release: release_expiring_idle's predicate, evaluated exactly
+  // at every chain instant from `check_from` on. Before that instant no idle
+  // VM is within two periods of its next paid-hour boundary, so the
+  // predicate (remaining paid time <= one period) cannot hold there.
+  SimTime check_from = any_idle ? next_instant_ : kTimeNever;
+  for (SimTime t = next_instant_;; t += period) {
+    if (every > 0 &&
+        static_cast<std::uint64_t>(std::llround(t / period)) % every == 0)
+      return t;
+    if (t < check_from) continue;
+    check_from = kTimeNever;
+    for (const cloud::VmInstance& vm : provider_.vms()) {
+      if (vm.state != cloud::VmState::kIdle) continue;
+      if (cloud::remaining_paid(vm, t, quantum) <= period) return t;
+      const double hours = std::max(1.0, std::ceil((t - vm.lease_time) / quantum));
+      check_from = std::min(check_from, vm.lease_time + hours * quantum - 2.0 * period);
+    }
+  }
 }
 
 void ClusterSimulation::on_arrival() {
@@ -182,13 +241,17 @@ cloud::CloudProfile ClusterSimulation::make_profile() const {
 }
 
 void ClusterSimulation::on_tick() {
-  tick_armed_ = false;
   const obs::Recorder::Scope tick_scope(recorder_, "engine.tick", 0);
   const SimTime now = sim_.now();
   detail::sim_context().set(now, "tick");
   const auto tick_index =
       static_cast<std::uint64_t>(std::llround(now / config_.schedule_period));
+  skip_instants_before(now);
+  PSCHED_ASSERT_MSG(next_instant_ == now, "tick dispatched off the chain");
+  armed_at_ = kTimeNever;
+  tick_event_ = sim::kInvalidEvent;
   ++ticks_run_;
+  next_instant_ = now + config_.schedule_period;
 
   std::vector<policy::QueuedJob> annotated = annotate_queue();
   const cloud::CloudProfile profile = make_profile();
@@ -410,12 +473,16 @@ void ClusterSimulation::on_tick() {
     checker_->on_tick_end(census, provider_.leased_count(), now);
   }
 
-  // --- 4. keep ticking while the system is active -----------------------------
-  if (!queue_.empty() || provider_.leased_count() > 0) {
-    tick_armed_ = true;
-    sim_.at(now + config_.schedule_period, [this] { on_tick(); });
+  // --- 4. keep the chain going while the system is active ---------------------
+  if (!queue_.empty()) {
+    arm_tick(next_instant_);
+  } else if (provider_.leased_count() > 0) {
+    // Quiet until the wake instant, unless a handler re-arms earlier.
+    const SimTime wake = quiet_wake();
+    if (wake != kTimeNever) arm_tick(wake);
+  } else {
+    chain_live_ = false;  // the next enqueue starts a new chain
   }
-  // Otherwise the next arrival re-arms the tick.
 }
 
 void ClusterSimulation::on_boot_complete(VmId id) {
@@ -428,9 +495,10 @@ void ClusterSimulation::on_boot_complete(VmId id) {
     fstats_.failed_vm_charged_seconds +=
         provider_.fail_boot(id, sim_.now()) * kSecondsPerHour;
     if (recorder_ != nullptr) recorder_->counter_add("engine.boot_failures", 1.0);
-    return;
+  } else {
+    provider_.finish_boot(id, sim_.now());
   }
-  provider_.finish_boot(id, sim_.now());
+  wake_tick();
 }
 
 void ClusterSimulation::on_vm_crash(VmId id) {
@@ -443,8 +511,9 @@ void ClusterSimulation::on_vm_crash(VmId id) {
   fstats_.failed_vm_charged_seconds += provider_.crash(id, now) * kSecondsPerHour;
   predicted_free_.erase(id);
   if (recorder_ != nullptr) recorder_->counter_add("engine.vm_crashes", 1.0);
-  // No arm_tick: whenever a live VM exists a tick is already armed, and the
-  // resubmission path re-arms through enqueue().
+  // The next instant runs even if the fleet is now empty: that tick ends the
+  // chain (or re-plans a resubmitted job).
+  wake_tick();
 }
 
 void ClusterSimulation::on_spot_warning(VmId id) {
@@ -454,6 +523,7 @@ void ClusterSimulation::on_spot_warning(VmId id) {
   detail::sim_context().set(sim_.now(), "spot-warning");
   provider_.mark_doomed(id, sim_.now());
   if (recorder_ != nullptr) recorder_->counter_add("engine.spot_warnings", 1.0);
+  wake_tick();
 }
 
 void ClusterSimulation::on_spot_revoke(VmId id) {
@@ -469,6 +539,7 @@ void ClusterSimulation::on_spot_revoke(VmId id) {
   provider_.revoke(id, now);
   predicted_free_.erase(id);
   if (recorder_ != nullptr) recorder_->counter_add("engine.spot_revocations", 1.0);
+  wake_tick();
 }
 
 void ClusterSimulation::kill_running_job(JobId id, VmId crashed_vm, SimTime now) {
@@ -571,6 +642,7 @@ void ClusterSimulation::on_job_finish(JobId id) {
       }
     }
   }
+  wake_tick();  // the freed VMs are idle
 }
 
 void ClusterSimulation::set_tenant(std::size_t tenant_id, ResubmitLedger* ledger) {
@@ -672,6 +744,8 @@ RunResult ClusterSimulation::finish() {
   result.metrics = collector_.finalize();
   result.ticks = ticks_run_;
   result.events = sim_.events_dispatched();
+  if (recorder_ != nullptr)
+    recorder_->counter_add("engine.ticks_skipped", static_cast<double>(ticks_skipped_));
   result.total_leases = provider_.total_leases();
   if (config_.keep_job_records) result.job_records = collector_.records();
   result.telemetry = std::move(telemetry_);
@@ -693,7 +767,10 @@ void ClusterSimulation::capture_checkpoint_state(util::StateDigest& digest) cons
   digest.add_size("sim.pending", sim_.queue().size());
   digest.add_bool("sim.started", started_);
   digest.add_u64("sim.ticks", ticks_run_);
-  digest.add_bool("sim.tick_armed", tick_armed_);
+  digest.add_u64("sim.ticks_skipped", ticks_skipped_);
+  digest.add_bool("sim.chain_live", chain_live_);
+  digest.add_double("sim.next_instant", next_instant_);
+  digest.add_double("sim.tick_armed_at", armed_at_);
   digest.add_size("sim.next_arrival", next_arrival_);
 
   // Provider fleet, in id order (vms() is id-ordered: order-sensitive fold).

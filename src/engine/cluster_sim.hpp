@@ -6,11 +6,14 @@
 //
 // Event loop semantics (paper Section 5):
 //  * job arrivals follow the trace;
-//  * a scheduling tick fires every `schedule_period` seconds (20 s) while
+//  * scheduling instants fall every `schedule_period` seconds (20 s) while
 //    the system is active; each tick asks the Scheduler for the governing
 //    policy, provisions VMs, allocates the ordered queue head-first
 //    (no backfilling), then releases idle VMs about to start a new paid
-//    hour;
+//    hour. Only instants that can change state are dispatched: with an
+//    empty queue a tick is a no-op unless an idle VM is due for release or
+//    a telemetry sample is due, so those quiet instants are counted but
+//    never put on the event queue (DESIGN.md §2, quiet-instant skipping);
 //  * leased VMs boot for `boot_delay` seconds before becoming usable and
 //    are billed per started hour (see cloud::CloudProvider);
 //  * jobs run to their *actual* runtime; the scheduler only ever sees
@@ -49,6 +52,7 @@ struct EngineConfig {
   bool keep_job_records = false;         ///< retain per-job outcome records
   /// Sample fleet/queue state every this many ticks into
   /// RunResult::telemetry (0 = off). Powers timeline plots and examples.
+  /// A due sample is a wake-up, so 1 dispatches every scheduling instant.
   std::uint64_t telemetry_every_ticks = 0;
   /// Runtime validation: per-event invariant checking and fault self-test
   /// mutations (src/validate). Off by default; zero-cost when off.
@@ -83,8 +87,8 @@ struct RunResult {
   std::string trace_name;
   std::string scheduler_name;
   metrics::RunMetrics metrics;
-  std::uint64_t ticks = 0;              ///< scheduling ticks executed
-  std::uint64_t events = 0;             ///< DES events dispatched
+  std::uint64_t ticks = 0;              ///< scheduling instants, skipped ones included
+  std::uint64_t events = 0;             ///< DES events dispatched (quiet ticks are not)
   std::size_t total_leases = 0;         ///< VM lease operations
   std::vector<metrics::JobRecord> job_records;  ///< when keep_job_records
   std::vector<TelemetrySample> telemetry;       ///< when telemetry_every_ticks > 0
@@ -177,8 +181,22 @@ class ClusterSimulation {
   void on_arrival();
   void on_tick();
   void on_job_finish(JobId id);
-  void arm_tick(SimTime not_before);
   void enqueue(const workload::Job& job, SimTime eligible);
+
+  // --- the tick chain (DESIGN.md §2, quiet-instant skipping) ---------------
+  /// State changed outside a tick: start a phase-aligned chain if none is
+  /// live, else pull the armed tick forward to the first chain instant at
+  /// or after now that is still ahead of the last tick.
+  void wake_tick();
+  /// Count every chain instant before `t` as skipped.
+  void skip_instants_before(SimTime t);
+  /// Put the tick on the event queue at `when`, cancelling an armed one.
+  void arm_tick(SimTime when);
+  /// First chain instant from next_instant_ on at which a tick with an
+  /// empty queue changes state: an idle VM is released (eager surplus, a
+  /// doomed spot VM, or an expiring paid hour) or a telemetry sample is
+  /// due. kTimeNever when only a finish or boot event can change anything.
+  [[nodiscard]] SimTime quiet_wake() const;
 
   // Failure/resilience paths (no-ops unless config_.failure.enabled()).
   /// Boot-complete event: finish the boot, or reap the lease if its boot
@@ -225,8 +243,15 @@ class ClusterSimulation {
 
   std::vector<Waiting> queue_;                 // submit order
   std::size_t next_arrival_ = 0;               // index into trace jobs
-  bool tick_armed_ = false;
-  std::uint64_t ticks_run_ = 0;
+  // Tick chain: instants are chained `t + schedule_period` doubles from a
+  // phase-aligned start. A live chain either has a tick armed or only busy
+  // and booting VMs, whose events re-arm it.
+  bool chain_live_ = false;
+  SimTime next_instant_ = 0.0;                 // first instant not yet run or skipped
+  SimTime armed_at_ = kTimeNever;              // kTimeNever: no tick armed
+  sim::EventId tick_event_ = sim::kInvalidEvent;
+  std::uint64_t ticks_run_ = 0;                // dispatched + skipped instants
+  std::uint64_t ticks_skipped_ = 0;
   std::vector<TelemetrySample> telemetry_;
 
   struct Running {

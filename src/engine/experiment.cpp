@@ -69,6 +69,82 @@ std::vector<ScenarioResult> run_parallel(
   return results;
 }
 
+namespace {
+
+/// Returns from the enclosing function with the name of `field` when the
+/// two results disagree on it.
+#define PSCHED_RETURN_IF_DIFFERENT(prefix, a, b, field) \
+  if (!((a).field == (b).field)) return std::string(prefix) + #field
+
+std::string first_metrics_difference(const metrics::RunMetrics& a,
+                                     const metrics::RunMetrics& b) {
+  const char* at = "metrics.";
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, jobs);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, avg_bounded_slowdown);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, max_bounded_slowdown);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, avg_wait);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, rj_proc_seconds);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, rv_charged_seconds);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, makespan);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, workflows);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, avg_workflow_makespan);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, max_workflow_makespan);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, failures.boot_failures);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, failures.vm_crashes);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, failures.api_rejected_leases);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, failures.api_rejected_releases);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, failures.lease_retries);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, failures.job_kills);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, failures.job_resubmissions);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, failures.jobs_killed_final);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, failures.wasted_proc_seconds);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, failures.failed_vm_charged_seconds);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, pricing.families);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, pricing.on_demand_leases);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, pricing.spot_leases);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, pricing.reserved_leases);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, pricing.spot_warnings);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, pricing.spot_revocations);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, pricing.spend_on_demand_dollars);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, pricing.spend_spot_dollars);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, pricing.spend_reserved_dollars);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, pricing.spot_savings_dollars);
+  PSCHED_RETURN_IF_DIFFERENT(at, a, b, pricing.revoked_charged_seconds);
+  return {};
+}
+
+}  // namespace
+
+std::string first_output_difference(const ScenarioResult& a, const ScenarioResult& b) {
+  if (std::string diff = first_metrics_difference(a.run.metrics, b.run.metrics);
+      !diff.empty())
+    return diff;
+  PSCHED_RETURN_IF_DIFFERENT("run.", a.run, b.run, ticks);
+  PSCHED_RETURN_IF_DIFFERENT("run.", a.run, b.run, total_leases);
+  PSCHED_RETURN_IF_DIFFERENT("run.", a.run, b.run, job_records.size());
+  for (std::size_t i = 0; i < a.run.job_records.size(); ++i) {
+    const metrics::JobRecord& ra = a.run.job_records[i];
+    const metrics::JobRecord& rb = b.run.job_records[i];
+    const std::string at = "run.job_records[" + std::to_string(i) + "].";
+    PSCHED_RETURN_IF_DIFFERENT(at, ra, rb, id);
+    PSCHED_RETURN_IF_DIFFERENT(at, ra, rb, submit);
+    PSCHED_RETURN_IF_DIFFERENT(at, ra, rb, eligible);
+    PSCHED_RETURN_IF_DIFFERENT(at, ra, rb, start);
+    PSCHED_RETURN_IF_DIFFERENT(at, ra, rb, finish);
+    PSCHED_RETURN_IF_DIFFERENT(at, ra, rb, procs);
+    PSCHED_RETURN_IF_DIFFERENT(at, ra, rb, runtime);
+    PSCHED_RETURN_IF_DIFFERENT(at, ra, rb, workflow);
+  }
+  PSCHED_RETURN_IF_DIFFERENT("", a, b, is_portfolio);
+  PSCHED_RETURN_IF_DIFFERENT("portfolio.", a.portfolio, b.portfolio, invocations);
+  PSCHED_RETURN_IF_DIFFERENT("portfolio.", a.portfolio, b.portfolio,
+                             mean_simulated_per_invocation);
+  PSCHED_RETURN_IF_DIFFERENT("portfolio.", a.portfolio, b.portfolio, chosen_counts);
+  return {};
+}
+
+#undef PSCHED_RETURN_IF_DIFFERENT
+
 obs::RunReportInputs report_inputs(const ScenarioResult& result,
                                    const EngineConfig& config) {
   obs::RunReportInputs inputs;

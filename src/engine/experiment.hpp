@@ -62,6 +62,17 @@ struct ScenarioResult {
                                            PredictorKind predictor,
                                            obs::Recorder* recorder = nullptr);
 
+/// The first simulation output on which two scenario results differ, by
+/// exact equality: metrics (failure and pricing stats included), ticks,
+/// total leases, kept job records, and the portfolio's deterministic
+/// statistics. Empty when they agree. Dispatch-level counts (events, invariant checks),
+/// telemetry samples and the wall-clock selection cost describe how a run
+/// executed rather than what it simulated, and are ignored: an
+/// every-instant twin (telemetry_every_ticks = 1 wakes the engine at every
+/// scheduling instant) must match a quiet-instant-skipping run here.
+[[nodiscard]] std::string first_output_difference(const ScenarioResult& a,
+                                                  const ScenarioResult& b);
+
 /// Assemble obs::RunReportInputs from a finished scenario (the glue between
 /// engine results and the report writer in obs/report.hpp).
 [[nodiscard]] obs::RunReportInputs report_inputs(const ScenarioResult& result,

@@ -480,6 +480,27 @@ MultiTenantResult MultiTenantExperiment::run(EpochObserver* observer) {
   return result;
 }
 
+std::string first_output_difference(const MultiTenantResult& a,
+                                    const MultiTenantResult& b) {
+  if (a.tenants.size() != b.tenants.size()) return "tenants.size()";
+  for (std::size_t i = 0; i < a.tenants.size(); ++i) {
+    const TenantResult& ta = a.tenants[i];
+    const TenantResult& tb = b.tenants[i];
+    const std::string at = "tenant[" + std::to_string(i) + "].";
+    std::string diff = first_output_difference(ta.scenario, tb.scenario);
+    if (!diff.empty()) return at + diff;
+    if (ta.min_allocation != tb.min_allocation) return at + "min_allocation";
+    if (ta.max_allocation != tb.max_allocation) return at + "max_allocation";
+    if (ta.mean_allocation != tb.mean_allocation) return at + "mean_allocation";
+    if (ta.charged_hours != tb.charged_hours) return at + "charged_hours";
+    if (ta.over_budget != tb.over_budget) return at + "over_budget";
+  }
+  if (a.epochs != b.epochs) return "epochs";
+  if (a.arbitrations != b.arbitrations) return "arbitrations";
+  if (a.peak_leased != b.peak_leased) return "peak_leased";
+  return {};
+}
+
 obs::RunReportInputs multi_tenant_report_inputs(const MultiTenantResult& result,
                                                 const MultiTenantConfig& config) {
   obs::RunReportInputs inputs;

@@ -178,6 +178,14 @@ class MultiTenantExperiment {
   bool ran_ = false;
 };
 
+/// Multi-tenant form of first_output_difference (experiment.hpp): every
+/// tenant's scenario, prefixed "tenant[i].", then the arbitration outputs —
+/// epochs, arbitrations, peak fleet, and each tenant's allocation range,
+/// charged hours and budget state. The service-level aggregate is a pure
+/// function of these, so it is not compared separately.
+[[nodiscard]] std::string first_output_difference(const MultiTenantResult& a,
+                                                  const MultiTenantResult& b);
+
 /// Assemble obs::RunReportInputs (with the "psched-tenants/v1" section) from
 /// a finished multi-tenant run.
 [[nodiscard]] obs::RunReportInputs multi_tenant_report_inputs(

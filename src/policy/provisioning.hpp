@@ -15,6 +15,10 @@ namespace psched::policy {
 class ProvisioningPolicy {
  public:
   virtual ~ProvisioningPolicy() = default;
+  /// Empty-queue contract: with an empty `ctx.queue` the answer is 0 (and
+  /// lease_plan's plan is empty) whatever the fleet and market look like.
+  /// Policies are stateless, so a call changes nothing either. The engine
+  /// relies on this to skip quiet scheduling instants (DESIGN.md §2).
   [[nodiscard]] virtual std::size_t vms_to_lease(const SchedContext& ctx) const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 
@@ -31,7 +35,8 @@ class ProvisioningPolicy {
   /// `out`. The default maps vms_to_lease to the paper's behavior —
   /// everything on-demand in family 0 — so the five paper policies need no
   /// override. Tier-aware overrides must fall back to that default when
-  /// `ctx.pricing` is null (pricing off).
+  /// `ctx.pricing` is null (pricing off), and must leave `out` empty for an
+  /// empty queue (the empty-queue contract above).
   virtual void lease_plan(const SchedContext& ctx,
                           std::vector<cloud::LeaseRequest>& out) const;
 };

@@ -239,10 +239,13 @@ Scenario make_scenario(std::uint64_t seed, const FuzzConfig& fuzz,
   return s;
 }
 
-/// Run one scenario on a job prefix; returns the violations (empty = clean).
+/// Run one scenario on a job prefix; returns the violations (empty = clean)
+/// and the engine result, for the tick-elision twin comparison.
 struct RunOutcome {
   std::uint64_t checks = 0;
   std::vector<Violation> violations;
+  engine::ScenarioResult single;      ///< single-tenant scenarios
+  engine::MultiTenantResult tenants;  ///< multi-tenant scenarios
 };
 
 core::PortfolioSchedulerConfig fuzz_portfolio_config(const Scenario& s) {
@@ -303,20 +306,48 @@ RunOutcome run_scenario(const Scenario& s, std::size_t job_count,
       mt.tenants.push_back(std::move(t));
     }
     engine::MultiTenantExperiment experiment(std::move(mt));
-    engine::MultiTenantResult result = experiment.run();
-    return RunOutcome{result.invariant_checks,
-                      std::move(result.invariant_violations)};
+    RunOutcome outcome;
+    outcome.tenants = experiment.run();
+    outcome.checks = outcome.tenants.invariant_checks;
+    outcome.violations = std::move(outcome.tenants.invariant_violations);
+    return outcome;
   }
 
-  engine::ScenarioResult result;
+  RunOutcome outcome;
   if (s.portfolio) {
-    result = engine::run_portfolio(s.config, trace, portfolio,
-                                   fuzz_portfolio_config(s), s.predictor);
+    outcome.single = engine::run_portfolio(s.config, trace, portfolio,
+                                           fuzz_portfolio_config(s), s.predictor);
   } else {
-    result = engine::run_single_policy(s.config, trace, s.triple, s.predictor);
+    outcome.single = engine::run_single_policy(s.config, trace, s.triple, s.predictor);
   }
-  return RunOutcome{result.run.invariant_checks,
-                    std::move(result.run.invariant_violations)};
+  outcome.checks = outcome.single.run.invariant_checks;
+  outcome.violations = std::move(outcome.single.run.invariant_violations);
+  return outcome;
+}
+
+/// Seeds 1 and 4 mod 8 (every fourth seed, half of them multi-tenant) also
+/// run the tick-elision property.
+bool runs_tick_elision_twin(std::uint64_t seed) { return seed % 8 == 1 || seed % 8 == 4; }
+
+/// The tick-elision property (DESIGN.md §2, quiet-instant skipping): the
+/// scenario re-run as its every-instant twin — a telemetry sample at every
+/// tick makes every scheduling instant a wake-up — must produce
+/// bit-identical outputs (engine::first_output_difference). Returns the
+/// violations, the twin's own invariant violations included.
+std::vector<Violation> check_tick_elision(const Scenario& s, const RunOutcome& skipping,
+                                          const policy::Portfolio& portfolio) {
+  Scenario twin = s;
+  twin.config.telemetry_every_ticks = 1;
+  RunOutcome every = run_scenario(twin, twin.jobs.size(), portfolio);
+  const std::string diff =
+      s.tenant_count >= 2
+          ? engine::first_output_difference(skipping.tenants, every.tenants)
+          : engine::first_output_difference(skipping.single, every.single);
+  if (!diff.empty()) {
+    every.violations.push_back(
+        Violation{"engine.tick_elision", "every-instant twin differs at " + diff, 0.0});
+  }
+  return std::move(every.violations);
 }
 
 /// The checkpoint.roundtrip property (FuzzConfig::fuzz_checkpoints): a
@@ -436,22 +467,34 @@ FuzzReport run_fuzz(const FuzzConfig& config) {
     RunOutcome outcome = run_scenario(scenario, scenario.jobs.size(), run_portfolio);
     report.total_checks += outcome.checks;
     ++report.seeds_run;
+    // Whole-run properties fail unshrunk: a shorter prefix checkpoints at
+    // different epochs and skips different instants entirely.
+    const auto fail_whole_run = [&](std::vector<Violation> violations) {
+      FuzzFailure failure;
+      failure.seed = seed;
+      failure.jobs = scenario.jobs.size();
+      failure.original_jobs = scenario.jobs.size();
+      failure.scenario = scenario.description;
+      failure.violations = std::move(violations);
+      report.failure = std::move(failure);
+    };
+    // Only clean scenarios run the whole-run properties: a violating seed's
+    // report already carries the more fundamental failure.
+    if (outcome.violations.empty() && runs_tick_elision_twin(seed)) {
+      std::vector<Violation> twin_violations =
+          check_tick_elision(scenario, outcome, run_portfolio);
+      ++report.total_checks;
+      if (!twin_violations.empty()) {
+        fail_whole_run(std::move(twin_violations));
+        break;
+      }
+    }
     if (outcome.violations.empty() && scenario.checkpoint_every > 0) {
-      // Only clean scenarios run the checkpoint pass: a violating seed's
-      // report already carries the more fundamental failure.
       std::vector<Violation> ckpt_violations =
           check_checkpoint_property(scenario, seed, run_portfolio);
       ++report.total_checks;
       if (!ckpt_violations.empty()) {
-        // Not shrunk: the checkpoint property is about the whole-run replay,
-        // and a shorter prefix checkpoints at different epochs entirely.
-        FuzzFailure failure;
-        failure.seed = seed;
-        failure.jobs = scenario.jobs.size();
-        failure.original_jobs = scenario.jobs.size();
-        failure.scenario = scenario.description;
-        failure.violations = std::move(ckpt_violations);
-        report.failure = std::move(failure);
+        fail_whole_run(std::move(ckpt_violations));
         break;
       }
     }

@@ -12,6 +12,11 @@
 // `base_seed + i`, so a failure report like "seed 17" reproduces with
 // `psched_fuzz --seeds 1 --base-seed 17`.
 //
+// Every fourth seed (1 and 4 mod 8, half of them multi-tenant) also re-runs
+// as its every-instant twin, with a telemetry sample at every tick so no
+// scheduling instant is skipped, and fails as "engine.tick_elision" unless
+// both runs' outputs are bit-identical (engine::first_output_difference).
+//
 // The harness doubles as the validation subsystem's self-test: with
 // FuzzConfig::inject_fault set, every scenario's provider misbehaves in a
 // known way and the harness must *fail* — the suite asserts that each
