@@ -228,7 +228,7 @@ class PricingModel {
                  const std::vector<std::size_t>& family_in_use,
                  std::size_t reserved_in_use);
 
-  /// Checkpoint support (DESIGN.md §14): both stream positions plus every
+  /// State capture (util/state_digest.hpp): both stream positions plus every
   /// materialized walk factor, bit-exactly. The walk vector is ordered
   /// (epoch index), so an order-sensitive fold is deterministic.
   void capture_digest(util::StateDigest& digest) const {

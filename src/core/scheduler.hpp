@@ -40,11 +40,11 @@ class Scheduler {
   /// its selector for round telemetry and candidate-batch trace spans.
   virtual void set_recorder(obs::Recorder* /*recorder*/) {}
 
-  /// Checkpoint support (DESIGN.md §14): fold the scheduler's cross-tick
+  /// State capture (util/state_digest.hpp): fold the scheduler's cross-tick
   /// mutable state into `digest`, bit-exactly. The base implementation is a
   /// no-op — a fixed policy carries no state; the portfolio scheduler folds
   /// its selection cadence, selector partition, and RNG position.
-  virtual void capture_checkpoint_state(util::StateDigest& /*digest*/) const {}
+  virtual void capture_state(util::StateDigest& /*digest*/) const {}
 };
 
 /// Applies one fixed policy forever.
@@ -111,7 +111,7 @@ class PortfolioScheduler final : public Scheduler {
     selector_.set_recorder(recorder);
   }
 
-  void capture_checkpoint_state(util::StateDigest& digest) const override;
+  void capture_state(util::StateDigest& digest) const override;
 
  private:
   const policy::Portfolio& portfolio_;

@@ -29,7 +29,7 @@ void TimeConstrainedSelector::reset() {
   for (std::size_t i = 0; i < portfolio_.size(); ++i) smart_.push_back(i);
 }
 
-void TimeConstrainedSelector::capture_checkpoint_state(util::StateDigest& digest) const {
+void TimeConstrainedSelector::capture_state(util::StateDigest& digest) const {
   digest.add_u64("selector.rng", rng_.state());
   // The partition sequences are order-sensitive state: Smart/Stale are
   // drained front to back and Poor is indexed by the RNG.

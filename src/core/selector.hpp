@@ -180,13 +180,13 @@ class TimeConstrainedSelector {
   /// attached, detached, or at any ObsLevel.
   void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
 
-  /// Checkpoint support (DESIGN.md §14): fold the selector's cross-round
+  /// State capture (util/state_digest.hpp): fold the selector's cross-round
   /// mutable state — the Poor-sampling RNG position and the
   /// Smart/Stale/Poor partition — into `digest`, bit-exactly. Wall-clock
   /// costs never enter the digest (psched-lint D1): in measured kWallclock
   /// mode they vary run to run by design, and in the deterministic budget
   /// modes they are derived state.
-  void capture_checkpoint_state(util::StateDigest& digest) const;
+  void capture_state(util::StateDigest& digest) const;
 
  private:
   /// Budget one candidate charges when its simulation took `measured_ms`

@@ -174,12 +174,10 @@ bool write_observability_outputs(const ScenarioResult& result,
                                  const EngineConfig& config,
                                  const obs::Recorder* recorder,
                                  const std::string& report_path,
-                                 const std::string& trace_path,
-                                 const obs::ReportCheckpoint* checkpoint) {
+                                 const std::string& trace_path) {
   bool ok = true;
   if (!report_path.empty()) {
-    obs::RunReportInputs inputs = report_inputs(result, config);
-    if (checkpoint != nullptr) inputs.checkpoint = *checkpoint;
+    const obs::RunReportInputs inputs = report_inputs(result, config);
     const std::string report = obs::run_report_json(inputs, recorder);
     ok = obs::write_text_file(report_path, report) && ok;
   }

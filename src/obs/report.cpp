@@ -16,7 +16,6 @@ constexpr const char* kRunReportSchema = "psched-run-report/v1";
 constexpr const char* kFailuresSchema = "psched-failures/v1";
 constexpr const char* kPricingSchema = "psched-pricing/v1";
 constexpr const char* kTenantsSchema = "psched-tenants/v1";
-constexpr const char* kCheckpointSchema = "psched-checkpoint-report/v1";
 
 void append_kv(std::string& out, const char* key, const std::string& value_json,
                bool& first) {
@@ -215,22 +214,6 @@ std::string selection_json(const Recorder* recorder) {
   return out;
 }
 
-std::string checkpoint_json(const ReportCheckpoint& c) {
-  if (!c.present) return "null";
-  std::string out = "{";
-  bool first = true;
-  append_kv(out, "schema", quoted(kCheckpointSchema), first);
-  append_kv(out, "every_epochs", json_number(static_cast<double>(c.every_epochs)),
-            first);
-  append_kv(out, "written", json_number(static_cast<double>(c.written)), first);
-  append_kv(out, "restored", json_number(static_cast<double>(c.restored)), first);
-  append_kv(out, "rejected", json_number(static_cast<double>(c.rejected)), first);
-  append_kv(out, "resumed_epoch", json_number(static_cast<double>(c.resumed_epoch)),
-            first);
-  out += '}';
-  return out;
-}
-
 std::string phases_json(const Recorder* recorder) {
   if (recorder == nullptr) return "{}";
   std::string out = "{";
@@ -273,7 +256,6 @@ std::string run_report_json(const RunReportInputs& inputs, const Recorder* recor
   append_kv(out, "failures", failures_json(inputs), first);
   append_kv(out, "pricing", pricing_json(inputs), first);
   append_kv(out, "tenants", tenants_json(inputs.tenants), first);
-  append_kv(out, "checkpoint", checkpoint_json(inputs.checkpoint), first);
   append_kv(out, "portfolio", portfolio_json(inputs.portfolio), first);
   append_kv(out, "selection", selection_json(recorder), first);
   append_kv(out, "phases", phases_json(recorder), first);
@@ -458,24 +440,6 @@ ValidationResult validate_run_report(std::string_view json) {
     }
   } else if (!tenants->is(JsonValue::Type::kNull)) {
     return fail("tenants is neither null nor an object");
-  }
-
-  const JsonValue* checkpoint = root.find("checkpoint");
-  if (checkpoint == nullptr) return fail("missing key \"checkpoint\"");
-  if (checkpoint->is(JsonValue::Type::kObject)) {
-    const JsonValue* cschema = checkpoint->find("schema");
-    if (cschema == nullptr || !cschema->is(JsonValue::Type::kString))
-      return fail("checkpoint.schema missing or not a string");
-    if (cschema->string != kCheckpointSchema)
-      return fail("unexpected checkpoint schema tag \"" + cschema->string + '"');
-    for (const char* key :
-         {"every_epochs", "written", "restored", "rejected", "resumed_epoch"}) {
-      const JsonValue* field = checkpoint->find(key);
-      if (field == nullptr || !field->is(JsonValue::Type::kNumber))
-        return fail(std::string("checkpoint.") + key + " missing or not a number");
-    }
-  } else if (!checkpoint->is(JsonValue::Type::kNull)) {
-    return fail("checkpoint is neither null nor an object");
   }
 
   const JsonValue* portfolio = root.find("portfolio");

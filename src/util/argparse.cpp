@@ -1,5 +1,6 @@
 #include "util/argparse.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -88,6 +89,13 @@ bool ArgParser::get_bool(const std::string& name, bool fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+std::string ArgParser::first_unknown(std::span<const std::string_view> known) const {
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) return name;
+  }
+  return {};
 }
 
 }  // namespace psched::util

@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace psched::util {
@@ -23,6 +25,11 @@ class ArgParser {
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback = false) const;
+
+  /// The first flag given (in name order) that is not in `known`, or "" when
+  /// the caller reads every flag given. Lets a command reject typos and
+  /// retired flags instead of ignoring them.
+  [[nodiscard]] std::string first_unknown(std::span<const std::string_view> known) const;
 
   /// Strict full-string parsers behind the accessors, reusable for compound
   /// flag fields ("name:price:boot"): reject empty text, trailing garbage,

@@ -1,14 +1,16 @@
 #pragma once
-// Bit-exact state digests for the checkpoint subsystem (DESIGN.md §14).
+// Bit-exact state digests of a running simulation.
 //
 // A StateDigest is an ordered list of named 64-bit values capturing the
 // complete mutable state of a simulation at an epoch boundary: RNG stream
 // positions, event/queue counters, fleet and billing figures, selector
 // partitions, metric accumulators. Doubles are folded through their
-// IEEE-754 bit pattern (std::bit_cast, the fingerprint.hpp idiom) — never
-// through decimal formatting — so two digests compare equal iff the
-// underlying states are bit-identical, which is exactly the granularity at
-// which the engine is deterministic.
+// IEEE-754 bit pattern (std::bit_cast) — never through decimal formatting —
+// so two digests compare equal iff the underlying states are bit-identical,
+// which is exactly the granularity at which the engine is deterministic.
+// Two runs of one scenario that reach the same epoch through different
+// start/advance_until strides must produce equal digests
+// (tests/engine/cluster_sim_test.cpp pins that stepping contract).
 //
 // Rules for capture code:
 //  * entries are appended in a deterministic order (capture routines run on
@@ -19,7 +21,7 @@
 //    map into order-sensitive output);
 //  * no wall-clock quantity may ever enter a digest (rule D1): measured
 //    selection costs and phase timers differ across runs of identical
-//    simulations and would make an honest resume look corrupt.
+//    simulations and would make two identical runs look divergent.
 
 #include <bit>
 #include <cstddef>
@@ -37,7 +39,7 @@ namespace psched::util {
 class UnorderedFold {
  public:
   /// Finalize one item's accumulated words into the fold. Typical use:
-  /// per item, build a Fingerprint-style hash of its fields via mix(),
+  /// per item, hash its fields via digest_mix(),
   /// then absorb().
   void absorb(std::uint64_t item_hash) noexcept {
     sum_ += item_hash;
@@ -115,7 +117,7 @@ class StateDigest {
 
   /// Human-readable first difference versus `other` (name of the first
   /// entry that differs in name or value, or a size note); empty when the
-  /// digests are bit-identical. Drives checkpoint rejection diagnostics.
+  /// digests are bit-identical. Names where two runs diverge.
   [[nodiscard]] std::string first_difference(const StateDigest& other) const {
     const std::size_t n = entries_.size() < other.entries_.size()
                               ? entries_.size()

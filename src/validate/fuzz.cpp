@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 
-#include "engine/checkpoint.hpp"
 #include "engine/experiment.hpp"
 #include "engine/tenant.hpp"
-#include "obs/report.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
@@ -34,11 +31,6 @@ struct Scenario {
   std::size_t arbitration_ticks = 1;
   std::vector<double> tenant_weights;
   std::vector<double> tenant_budgets;  ///< VM-hours; 0 = unlimited
-  /// Checkpoint pass (see FuzzConfig::fuzz_checkpoints): cadence in epochs
-  /// (0 = pass disabled for this seed) and the drawn write corruption
-  /// (kNone, or torn-write / bit-flip on the corruption seeds).
-  std::size_t checkpoint_every = 0;
-  FaultInjection checkpoint_corrupt = FaultInjection::kNone;
   std::string description;
 };
 
@@ -93,7 +85,7 @@ Scenario make_scenario(std::uint64_t seed, const FuzzConfig& fuzz,
   } else {
     // Drawn last so the earlier scenario-shape draws keep their streams.
     s.selector_fixed_count = static_cast<std::size_t>(rng.uniform_int(1, 24));
-    // Discarded draw: keeps the failure/pricing/tenant/checkpoint knobs
+    // Discarded draw: keeps the failure/pricing/tenant knobs
     // below on their established stream positions, so seeds replay as-is.
     (void)rng.uniform_int(1, 4);
   }
@@ -182,18 +174,6 @@ Scenario make_scenario(std::uint64_t seed, const FuzzConfig& fuzz,
     }
   }
 
-  if (fuzz.fuzz_checkpoints && seed % 5 == 3 && s.tenant_count == 0) {
-    // Drawn after every scenario-shape, failure, pricing, and tenant draw
-    // (see FuzzConfig::fuzz_checkpoints). Single-tenant only: the tenant
-    // resume-identity matrix lives in tests/integration.
-    s.checkpoint_every = static_cast<std::size_t>(rng.uniform_int(4, 32));
-    if (seed % 3 == 0) {
-      s.checkpoint_corrupt = rng.bernoulli(0.5)
-                                 ? FaultInjection::kCheckpointTornWrite
-                                 : FaultInjection::kCheckpointBitFlip;
-    }
-  }
-
   char buf[224];
   std::snprintf(buf, sizeof(buf),
                 "%s, %zu jobs, cap=%zu, boot=%.0fs, quantum=%.0fs, %s, %s, "
@@ -229,12 +209,6 @@ Scenario make_scenario(std::uint64_t seed, const FuzzConfig& fuzz,
     std::snprintf(tbuf, sizeof(tbuf), ", tenants(n=%zu, ticks=%zu)",
                   s.tenant_count, s.arbitration_ticks);
     s.description += tbuf;
-  }
-  if (s.checkpoint_every > 0) {
-    char cbuf[96];
-    std::snprintf(cbuf, sizeof(cbuf), ", checkpoint(every=%zu, corrupt=%s)",
-                  s.checkpoint_every, to_string(s.checkpoint_corrupt));
-    s.description += cbuf;
   }
   return s;
 }
@@ -350,91 +324,6 @@ std::vector<Violation> check_tick_elision(const Scenario& s, const RunOutcome& s
   return std::move(every.violations);
 }
 
-/// The checkpoint.roundtrip property (FuzzConfig::fuzz_checkpoints): a
-/// checkpointed run and a resumed run must both report byte-identically to
-/// the straight run; corrupt checkpoints must all be rejected with a clean
-/// fallback. Returns the violations (empty = property holds).
-std::vector<Violation> check_checkpoint_property(const Scenario& s,
-                                                 std::uint64_t seed,
-                                                 const policy::Portfolio& portfolio) {
-  namespace fs = std::filesystem;
-  std::vector<Violation> out;
-  const auto fail = [&](const std::string& detail) {
-    out.push_back(Violation{"checkpoint.roundtrip", detail, 0.0});
-  };
-  const workload::Trace trace("fuzz", static_cast<int>(s.config.provider.max_vms),
-                              std::vector<workload::Job>(s.jobs));
-  const auto report_of = [&](const engine::ScenarioResult& r) {
-    return obs::run_report_json(engine::report_inputs(r, s.config), nullptr);
-  };
-  const auto run_checkpointed = [&](const engine::CheckpointConfig& ckpt,
-                                    engine::CheckpointStats& stats) {
-    return s.portfolio
-               ? engine::run_portfolio_checkpointed(s.config, trace, portfolio,
-                                                    fuzz_portfolio_config(s),
-                                                    s.predictor, ckpt, stats)
-               : engine::run_single_policy_checkpointed(s.config, trace, s.triple,
-                                                        s.predictor, ckpt, stats);
-  };
-
-  const engine::ScenarioResult base =
-      s.portfolio
-          ? engine::run_portfolio(s.config, trace, portfolio,
-                                  fuzz_portfolio_config(s), s.predictor)
-          : engine::run_single_policy(s.config, trace, s.triple, s.predictor);
-  const std::string base_report = report_of(base);
-
-  // Per-seed scratch directory (address tag keeps concurrent processes on
-  // the same seed apart; the name never feeds any digest or metric).
-  std::error_code ec;
-  const fs::path dir =
-      fs::temp_directory_path(ec) /
-      ("psched-fuzz-ckpt-" + std::to_string(seed) + "-" +
-       std::to_string(reinterpret_cast<std::uintptr_t>(&out) & 0xffffffu));
-  fs::remove_all(dir, ec);
-  fs::create_directories(dir, ec);
-
-  engine::CheckpointConfig ckpt;
-  ckpt.every_epochs = s.checkpoint_every;
-  ckpt.directory = dir.string();
-  ckpt.prefix = "fuzz";
-  ckpt.keep = 3;
-  const bool corrupt = s.checkpoint_corrupt != FaultInjection::kNone;
-  if (corrupt) {
-    // Leave the corrupt files on disk (no read-back verification) so the
-    // resume scan below has to detect and reject them itself.
-    ckpt.inject_fault = s.checkpoint_corrupt;
-    ckpt.verify_roundtrip = false;
-  }
-  engine::CheckpointStats write_stats;
-  const engine::ScenarioResult checkpointed = run_checkpointed(ckpt, write_stats);
-  if (report_of(checkpointed) != base_report)
-    fail("checkpointed run diverged from the straight run");
-
-  engine::CheckpointConfig resume = ckpt;
-  resume.resume_from = "auto";
-  resume.inject_fault = FaultInjection::kNone;
-  resume.verify_roundtrip = true;
-  engine::CheckpointStats resume_stats;
-  const engine::ScenarioResult resumed = run_checkpointed(resume, resume_stats);
-  if (report_of(resumed) != base_report)
-    fail("resumed run diverged from the straight run");
-  if (write_stats.written > 0) {
-    if (corrupt) {
-      if (resume_stats.rejected == 0)
-        fail("corrupt checkpoints were not rejected on resume");
-      if (resume_stats.resumed_epoch != 0)
-        fail("resume trusted a corrupt checkpoint instead of a fresh start");
-    } else {
-      if (resume_stats.restored != 1)
-        fail("no restore happened despite valid checkpoints on disk");
-      if (resume_stats.resumed_epoch == 0) fail("restored at epoch 0");
-    }
-  }
-  fs::remove_all(dir, ec);
-  return out;
-}
-
 }  // namespace
 
 FuzzReport run_fuzz(const FuzzConfig& config) {
@@ -467,8 +356,8 @@ FuzzReport run_fuzz(const FuzzConfig& config) {
     RunOutcome outcome = run_scenario(scenario, scenario.jobs.size(), run_portfolio);
     report.total_checks += outcome.checks;
     ++report.seeds_run;
-    // Whole-run properties fail unshrunk: a shorter prefix checkpoints at
-    // different epochs and skips different instants entirely.
+    // Whole-run properties fail unshrunk: a shorter prefix skips different
+    // instants entirely.
     const auto fail_whole_run = [&](std::vector<Violation> violations) {
       FuzzFailure failure;
       failure.seed = seed;
@@ -486,15 +375,6 @@ FuzzReport run_fuzz(const FuzzConfig& config) {
       ++report.total_checks;
       if (!twin_violations.empty()) {
         fail_whole_run(std::move(twin_violations));
-        break;
-      }
-    }
-    if (outcome.violations.empty() && scenario.checkpoint_every > 0) {
-      std::vector<Violation> ckpt_violations =
-          check_checkpoint_property(scenario, seed, run_portfolio);
-      ++report.total_checks;
-      if (!ckpt_violations.empty()) {
-        fail_whole_run(std::move(ckpt_violations));
         break;
       }
     }

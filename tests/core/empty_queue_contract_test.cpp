@@ -91,7 +91,7 @@ std::vector<policy::QueuedJob> queue_of(std::size_t jobs) {
 
 util::StateDigest digest_of(const Scheduler& scheduler) {
   util::StateDigest digest;
-  scheduler.capture_checkpoint_state(digest);
+  scheduler.capture_state(digest);
   return digest;
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <type_traits>
 
 #include "engine/experiment.hpp"
+#include "util/state_digest.hpp"
 #include "workload/generator.hpp"
 
 namespace psched::engine {
@@ -296,6 +299,125 @@ TEST(ClusterSimulation, RunParallelPreservesOrder) {
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].run.scheduler_name, "ODA-FCFS-FirstFit");
   EXPECT_EQ(results[1].run.scheduler_name, "ODB-FCFS-FirstFit");
+}
+
+/// One scenario for the stepping contract: a fixed policy, or the portfolio
+/// scheduler when `portfolio` is set.
+struct SteppedCase {
+  const char* name = "";
+  EngineConfig config = paper_engine_config();
+  const policy::Portfolio* portfolio = nullptr;
+  core::PortfolioSchedulerConfig pconfig;
+  policy::PolicyTriple triple{};
+};
+
+/// Drive `c` over `trace`: run() when `stride` is 0, else start(), then
+/// advance_until(k * period) for k = stride, 2 * stride, ... until no events
+/// remain, capturing the state digest at every stop, then finish().
+ScenarioResult drive(const SteppedCase& c, const workload::Trace& trace,
+                     std::uint64_t stride,
+                     std::map<std::uint64_t, util::StateDigest>* digests) {
+  std::unique_ptr<core::PortfolioScheduler> portfolio_scheduler;
+  std::unique_ptr<core::Scheduler> scheduler;
+  if (c.portfolio != nullptr) {
+    portfolio_scheduler =
+        std::make_unique<core::PortfolioScheduler>(*c.portfolio, c.pconfig);
+  } else {
+    scheduler = std::make_unique<core::SinglePolicyScheduler>(c.triple);
+  }
+  core::Scheduler& active = portfolio_scheduler ? *portfolio_scheduler : *scheduler;
+  const auto predictor = make_predictor(PredictorKind::kPerfect);
+  ClusterSimulation sim(c.config, trace, active, *predictor);
+  ScenarioResult result;
+  if (stride == 0) {
+    result.run = sim.run();
+  } else {
+    sim.start();
+    for (std::uint64_t epoch = stride; sim.active(); epoch += stride) {
+      sim.advance_until(static_cast<double>(epoch) * c.config.schedule_period);
+      sim.capture_state((*digests)[epoch]);
+    }
+    result.run = sim.finish();
+  }
+  if (portfolio_scheduler) {
+    const core::ReflectionStore& reflection = portfolio_scheduler->reflection();
+    result.is_portfolio = true;
+    result.portfolio.invocations = reflection.invocations();
+    result.portfolio.total_selection_cost_ms = reflection.total_cost_ms();
+    result.portfolio.mean_simulated_per_invocation =
+        reflection.mean_simulated_per_invocation();
+    result.portfolio.chosen_counts = reflection.chosen_counts();
+  }
+  return result;
+}
+
+TEST(ClusterSimulation, SteppedRunsMatchRunAndEachOtherAtEveryEpoch) {
+  // The stepping contract the multi-tenant epoch loop relies on: start(),
+  // advance_until() in any stride, then finish() is bit-identical to run(),
+  // and two strides reach the same state digest at every common epoch.
+  const auto trace =
+      workload::TraceGenerator(workload::kth_sp2_like(0.3)).generate(7).cleaned(64);
+  ASSERT_FALSE(trace.empty());
+
+  SteppedCase single;
+  single.name = "single-policy";
+  single.triple = policy_by_name("ODB-LXF-BestFit");
+
+  SteppedCase fixed_count;
+  fixed_count.name = "portfolio fixed-count";
+  fixed_count.portfolio = &portfolio();
+  fixed_count.pconfig = paper_portfolio_config(fixed_count.config);
+  fixed_count.pconfig.selector.budget_mode = core::BudgetMode::kFixedCount;
+  fixed_count.pconfig.selector.fixed_count = 12;
+  fixed_count.pconfig.selection_period_ticks = 4;
+
+  // Failures and the full pricing market: the most RNG streams in flight.
+  static const policy::Portfolio pricing_portfolio =
+      policy::Portfolio::pricing_portfolio();
+  SteppedCase market;
+  market.name = "failures+pricing portfolio";
+  market.portfolio = &pricing_portfolio;
+  EngineConfig& mc = market.config;
+  mc.failure.vm_mtbf_seconds = 3.0 * kSecondsPerHour;
+  mc.failure.seed = 17;
+  mc.pricing.families.push_back(cloud::VmFamily{"small", 0.5, 30.0, 32});
+  mc.pricing.families.push_back(cloud::VmFamily{"std", 1.0, 120.0, 0});
+  mc.pricing.spot_price_fraction = 0.3;
+  mc.pricing.spot_mtbf_seconds = 6.0 * kSecondsPerHour;
+  mc.pricing.spot_warning_seconds = 120.0;
+  mc.pricing.schedule = {{0.0, 1.0}, {6.0 * kSecondsPerHour, 1.5}};
+  mc.pricing.walk_step = 0.08;
+  mc.pricing.walk_epoch_seconds = 3600.0;
+  mc.pricing.reserved_count = 4;
+  mc.pricing.seed = 29;
+  market.pconfig = paper_portfolio_config(mc);
+  market.pconfig.selector.budget_mode = core::BudgetMode::kFixedCount;
+  market.pconfig.selector.fixed_count = 36;
+  market.pconfig.selection_period_ticks = 8;
+
+  for (const SteppedCase* c : {&single, &fixed_count, &market}) {
+    SCOPED_TRACE(c->name);
+    const ScenarioResult whole = drive(*c, trace, 0, nullptr);
+    std::map<std::uint64_t, util::StateDigest> by7;
+    std::map<std::uint64_t, util::StateDigest> by13;
+    EXPECT_EQ(first_output_difference(whole, drive(*c, trace, 7, &by7)), "");
+    EXPECT_EQ(first_output_difference(whole, drive(*c, trace, 13, &by13)), "");
+
+    std::size_t common = 0;
+    for (const auto& [epoch, digest] : by7) {
+      const auto other = by13.find(epoch);
+      if (other == by13.end()) continue;
+      ++common;
+      EXPECT_FALSE(digest.empty());
+      EXPECT_EQ(digest.first_difference(other->second), "") << "epoch " << epoch;
+    }
+    EXPECT_GE(common, 2u) << "too short to compare the strides";
+    if (c == &market) {
+      // The market case must exercise the layers it claims to.
+      EXPECT_GT(whole.run.metrics.failures.job_kills, 0u);
+      EXPECT_GT(whole.run.metrics.pricing.spot_leases, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -214,17 +214,20 @@ std::string mutated(std::string doc, const std::string& from, const std::string&
   return doc;
 }
 
-TEST(RunReport, ValidatorChecksFailuresSection) {
-  // Build a real report (the only practical way to satisfy every other
-  // required section) and mutate just the failures key.
+/// A real single-policy report: the only practical way to satisfy every
+/// required section before mutating one of them.
+std::string small_report() {
   const engine::EngineConfig config = engine::paper_engine_config();
   const workload::Trace trace =
       workload::TraceGenerator(workload::kth_sp2_like(0.1)).generate(3).cleaned(64);
   const auto result = engine::run_single_policy(
       config, trace, policy::Portfolio::paper_portfolio().policies()[0],
       engine::PredictorKind::kPerfect);
-  const std::string doc =
-      run_report_json(engine::report_inputs(result, config), nullptr);
+  return run_report_json(engine::report_inputs(result, config), nullptr);
+}
+
+TEST(RunReport, ValidatorChecksFailuresSection) {
+  const std::string doc = small_report();
   ASSERT_TRUE(validate_run_report(doc).ok);
   ASSERT_NE(doc.find("\"failures\":null"), std::string::npos);
 
@@ -243,6 +246,34 @@ TEST(RunReport, ValidatorChecksFailuresSection) {
   // Neither null nor object.
   EXPECT_FALSE(validate_run_report(
                    mutated(doc, "\"failures\":null", "\"failures\":7")).ok);
+}
+
+// The one section run reports no longer emit. Older reports carried it
+// between "tenants" and "portfolio", as null or as an object; the validator
+// must still accept both shapes so those reports keep validating.
+constexpr const char* kRetiredKey = "\"checkpoint\":";
+
+TEST(RunReport, NewReportsOmitTheRetiredSection) {
+  const std::string doc = small_report();
+  EXPECT_EQ(doc.find(kRetiredKey), std::string::npos);
+  EXPECT_TRUE(validate_run_report(doc).ok);
+}
+
+TEST(RunReport, ValidatorAcceptsTheRetiredSectionAsNull) {
+  const std::string doc = mutated(small_report(), "\"portfolio\":",
+                                  std::string(kRetiredKey) + "null,\"portfolio\":");
+  const ValidationResult v = validate_run_report(doc);
+  EXPECT_TRUE(v.ok) << v.detail;
+}
+
+TEST(RunReport, ValidatorAcceptsTheRetiredSectionAsItsOldObject) {
+  const std::string old_object =
+      "{\"schema\":\"psched-checkpoint-report/v1\",\"every_epochs\":500,"
+      "\"written\":3,\"restored\":1,\"rejected\":0,\"resumed_epoch\":1000},";
+  const std::string doc = mutated(small_report(), "\"portfolio\":",
+                                  kRetiredKey + old_object + "\"portfolio\":");
+  const ValidationResult v = validate_run_report(doc);
+  EXPECT_TRUE(v.ok) << v.detail;
 }
 
 TEST(BenchReport, ValidatorAcceptsRectangularTablesOnly) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 namespace psched::util {
 namespace {
 
@@ -35,6 +37,15 @@ TEST(ArgParser, Fallbacks) {
   EXPECT_EQ(p.get_int("missing", 7), 7);
   EXPECT_DOUBLE_EQ(p.get_double("missing", 1.5), 1.5);
   EXPECT_TRUE(p.get_bool("missing", true));
+}
+
+TEST(ArgParser, FirstUnknownNamesAFlagOutsideTheKnownList) {
+  constexpr std::string_view kKnown[] = {"days", "seed", "backfill"};
+  EXPECT_EQ(parse({"--days", "3", "--backfill", "x.swf"}).first_unknown(kKnown), "");
+  EXPECT_EQ(parse({"--days", "3", "--dyas=4"}).first_unknown(kKnown), "dyas");
+  EXPECT_EQ(parse({"--resume-from", "auto", "--seed", "1"}).first_unknown(kKnown),
+            "resume-from");
+  EXPECT_EQ(parse({"--days", "3"}).first_unknown({}), "days");
 }
 
 TEST(ArgParser, DoubleParsing) {

@@ -8,7 +8,8 @@
 //       Generate a synthetic trace (or workflow campaign) and write SWF.
 //   characterize  FILE.swf | --archetype NAME --days N [--seed S]
 //       Print the workload profile (Table-1 summary + distributions).
-//   run  [FILE.swf | --archetype NAME] [--days N] [--seed S]
+//   run  [FILE.swf [--max-procs N] | --archetype NAME |
+//         --workflows [--rate WF_PER_DAY]] [--days N] [--seed S]
 //        [--scheduler portfolio|POLICY-NAME] [--predictor accurate|predicted|
 //         user-estimate|last-runtime|running-mean|ewma]
 //        [--delta MS] [--budget-mode wallclock|fixed-count] [--fixed-count N]
@@ -25,9 +26,8 @@
 //        [--pricing-seed S]
 //        [--tenants N] [--tenant-weights W1,...,WN] [--tenant-budget HOURS]
 //        [--arbitration-ticks T] [--eval-threads N]
-//        [--checkpoint-every N] [--checkpoint-dir DIR] [--checkpoint-keep K]
-//        [--resume-from FILE|auto]
-//       Run one scenario and print the paper's metrics.
+//       Run one scenario and print the paper's metrics. A flag not listed
+//       here is a usage error (exit 1) before anything runs.
 //       --budget-mode fixed-count accounts the selection budget as a
 //       per-round simulation count (--fixed-count N, 0 = unbounded) instead
 //       of wall-clock milliseconds: no clock reads, so runs are bit-identical
@@ -78,18 +78,6 @@
 //       without --tenants). The run report gains the "psched-tenants/v1"
 //       section; --trace-out and --differential are not supported in this
 //       mode.
-//       Checkpoint/restore (DESIGN.md §14): --checkpoint-every N writes a
-//       "psched-checkpoint/v1" file every N epochs (scheduling periods, or
-//       arbitration epochs with --tenants) into --checkpoint-dir (default
-//       "."), keeping the newest --checkpoint-keep files (default 2);
-//       --resume-from FILE resumes from a checkpoint file and
-//       --resume-from auto from the newest valid checkpoint in the
-//       directory. A resumed run's report is byte-identical to an
-//       uninterrupted one; corrupt or mismatched checkpoints are rejected
-//       (counted in the report's "checkpoint" section) with fallback to
-//       the next older checkpoint, then to a fresh start. --inject-fault
-//       checkpoint-torn-write / checkpoint-bit-flip corrupt every
-//       checkpoint write to prove the detection path fires.
 //
 // Exit codes: 0 success, 1 usage error, 2 runtime error.
 #include <algorithm>
@@ -98,9 +86,9 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "engine/checkpoint.hpp"
 #include "engine/experiment.hpp"
 #include "engine/tenant.hpp"
 #include "obs/report.hpp"
@@ -360,30 +348,15 @@ std::vector<workload::Trace> tenant_traces_from_args(
   return traces;
 }
 
-/// The report's "checkpoint" section from a finished supervised run.
-obs::ReportCheckpoint checkpoint_report(const engine::CheckpointConfig& config,
-                                        const engine::CheckpointStats& stats) {
-  obs::ReportCheckpoint section;
-  section.present = true;
-  section.every_epochs = config.every_epochs;
-  section.written = stats.written;
-  section.restored = stats.restored;
-  section.rejected = stats.rejected;
-  section.resumed_epoch = stats.resumed_epoch;
-  return section;
-}
-
 /// `run --tenants N`: the multi-tenant service mode (DESIGN.md §13).
 /// `portfolio` is null in fixed-policy mode (then `triple` is the policy).
-/// `checkpoint` is null unless checkpoint supervision was requested.
 int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& config,
                     const workload::Trace& trace,
                     const policy::Portfolio* portfolio,
                     const core::PortfolioSchedulerConfig& pconfig,
                     const policy::PolicyTriple* triple,
                     engine::PredictorKind predictor, obs::Recorder* rec,
-                    const std::string& report_out, std::size_t count,
-                    const engine::CheckpointConfig* checkpoint) {
+                    const std::string& report_out, std::size_t count) {
   const std::int64_t ticks = args.get_int("arbitration-ticks", 1);
   if (ticks < 1) {
     std::fputs("error: --arbitration-ticks must be >= 1\n", stderr);
@@ -456,14 +429,8 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
   const auto eval_threads = static_cast<std::size_t>(args.get_int("eval-threads", 1));
   std::unique_ptr<util::ThreadPool> pool;
   if (eval_threads != 1) pool = std::make_unique<util::ThreadPool>(eval_threads);
-  engine::MultiTenantResult result;
-  engine::CheckpointStats ckpt_stats;
-  if (checkpoint != nullptr) {
-    result = engine::run_tenants_checkpointed(mt, *checkpoint, ckpt_stats, pool.get());
-  } else {
-    engine::MultiTenantExperiment experiment(mt, pool.get());
-    result = experiment.run();
-  }
+  engine::MultiTenantExperiment experiment(mt, pool.get());
+  const engine::MultiTenantResult result = experiment.run();
 
   const auto& m = result.metrics;
   util::Table table({"Metric", "Value"});
@@ -490,13 +457,6 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
   if (config.validation.check_invariants) {
     table.add_row({"invariant checks", result.invariant_checks});
     table.add_row({"invariant violations", result.invariant_violations.size()});
-  }
-  if (checkpoint != nullptr) {
-    table.add_row({"checkpoints written/restored/rejected",
-                   std::to_string(ckpt_stats.written) + "/" +
-                       std::to_string(ckpt_stats.restored) + "/" +
-                       std::to_string(ckpt_stats.rejected)});
-    table.add_row({"resumed from epoch", ckpt_stats.resumed_epoch});
   }
   std::fputs(table.render("psched run --tenants").c_str(), stdout);
 
@@ -531,8 +491,7 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
     return 2;
   }
   if (!report_out.empty()) {
-    obs::RunReportInputs inputs = engine::multi_tenant_report_inputs(result, mt);
-    if (checkpoint != nullptr) inputs.checkpoint = checkpoint_report(*checkpoint, ckpt_stats);
+    const obs::RunReportInputs inputs = engine::multi_tenant_report_inputs(result, mt);
     if (!obs::write_text_file(report_out, obs::run_report_json(inputs, rec))) {
       std::fputs("error: cannot write --report-out file\n", stderr);
       return 2;
@@ -541,7 +500,25 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
   return result.invariant_violations.empty() ? 0 : 2;
 }
 
+/// Every flag `psched run` reads (trace_from_args, cmd_run, cmd_run_tenants,
+/// tenant_traces_from_args), in the order of the header's synopsis.
+constexpr std::string_view kRunFlags[] = {
+    "max-procs", "archetype", "workflows", "rate", "days", "seed", "scheduler",
+    "predictor", "delta", "budget-mode", "fixed-count", "period", "backfill",
+    "on-change", "reflection", "quantum", "csv", "check-invariants", "inject-fault",
+    "differential", "obs-level", "report-out", "trace-out", "failures",
+    "boot-fail-rate", "vm-mtbf", "api-outage", "api-outage-duration",
+    "failure-seed", "max-resubmits", "vm-families", "spot-rate",
+    "price-schedule", "reserved", "pricing-seed", "tenants", "tenant-weights",
+    "tenant-budget", "arbitration-ticks", "eval-threads"};
+
 int cmd_run(const util::ArgParser& args) {
+  // Reject unknown flags before any work: a typo or a retired flag would
+  // otherwise run a default scenario without a word.
+  if (const std::string unknown = args.first_unknown(kRunFlags); !unknown.empty()) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
+    return 1;
+  }
   bool ok = true;
   const workload::Trace trace = trace_from_args(args, ok);
   if (!ok) return 2;
@@ -634,42 +611,8 @@ int cmd_run(const util::ArgParser& args) {
     std::fputs(
         "error: unknown --inject-fault (none, billing-off-by-one, "
         "skip-boot-delay, cap-overshoot, candidate-throw, "
-        "tenant-cap-overshoot, tenant-unfair-share, checkpoint-torn-write, "
-        "checkpoint-bit-flip)\n",
+        "tenant-cap-overshoot, tenant-unfair-share)\n",
         stderr);
-    return 1;
-  }
-
-  // Checkpoint supervision (DESIGN.md §14). The checkpoint faults corrupt
-  // checkpoint *writes*, not provider behavior, so they route to the
-  // supervisor and stay out of the invariant checker's fault plumbing.
-  engine::CheckpointConfig ckpt;
-  const bool ckpt_fault =
-      config.validation.inject_fault ==
-          validate::FaultInjection::kCheckpointTornWrite ||
-      config.validation.inject_fault == validate::FaultInjection::kCheckpointBitFlip;
-  if (ckpt_fault) {
-    ckpt.inject_fault = config.validation.inject_fault;
-    config.validation.inject_fault = validate::FaultInjection::kNone;
-  }
-  const std::int64_t ckpt_every = args.get_int("checkpoint-every", 0);
-  const std::int64_t ckpt_keep = args.get_int("checkpoint-keep", 2);
-  if (ckpt_every < 0 || ckpt_keep < 1) {
-    std::fputs("error: --checkpoint-every wants N >= 0 epochs and "
-               "--checkpoint-keep wants K >= 1 files\n",
-               stderr);
-    return 1;
-  }
-  ckpt.every_epochs = static_cast<std::size_t>(ckpt_every);
-  ckpt.keep = static_cast<std::size_t>(ckpt_keep);
-  ckpt.directory = args.get("checkpoint-dir", ".");
-  ckpt.resume_from = args.get("resume-from", "");
-  const bool checkpointed =
-      ckpt.every_epochs > 0 || !ckpt.resume_from.empty() || ckpt_fault;
-  if (checkpointed && args.get_bool("differential")) {
-    std::fputs("error: --checkpoint-every/--resume-from are not supported "
-               "with --differential\n",
-               stderr);
     return 1;
   }
 
@@ -726,7 +669,6 @@ int cmd_run(const util::ArgParser& args) {
   const std::string scheduler = args.get("scheduler", "portfolio");
 
   engine::ScenarioResult result;
-  engine::CheckpointStats ckpt_stats;
   if (scheduler == "portfolio") {
     auto pconfig = engine::paper_portfolio_config(config);
     pconfig.selector.time_constraint_ms = args.get_double("delta", 0.0);
@@ -752,13 +694,8 @@ int cmd_run(const util::ArgParser& args) {
     if (tenant_count > 0)
       return cmd_run_tenants(args, config, trace, &portfolio, pconfig,
                              /*triple=*/nullptr, predictor, rec, report_out,
-                             tenant_count, checkpointed ? &ckpt : nullptr);
-    if (checkpointed)
-      result = engine::run_portfolio_checkpointed(config, trace, portfolio,
-                                                  pconfig, predictor, ckpt,
-                                                  ckpt_stats, rec);
-    else
-      result = engine::run_portfolio(config, trace, portfolio, pconfig, predictor, rec);
+                             tenant_count);
+    result = engine::run_portfolio(config, trace, portfolio, pconfig, predictor, rec);
   } else {
     const policy::PolicyTriple* triple = portfolio.find(scheduler);
     if (triple == nullptr) {
@@ -769,14 +706,8 @@ int cmd_run(const util::ArgParser& args) {
     if (tenant_count > 0)
       return cmd_run_tenants(args, config, trace, /*portfolio=*/nullptr,
                              core::PortfolioSchedulerConfig{}, triple, predictor,
-                             rec, report_out, tenant_count,
-                             checkpointed ? &ckpt : nullptr);
-    if (checkpointed)
-      result = engine::run_single_policy_checkpointed(config, trace, *triple,
-                                                      predictor, ckpt, ckpt_stats,
-                                                      rec);
-    else
-      result = engine::run_single_policy(config, trace, *triple, predictor, rec);
+                             rec, report_out, tenant_count);
+    result = engine::run_single_policy(config, trace, *triple, predictor, rec);
   }
 
   const auto& m = result.run.metrics;
@@ -839,13 +770,6 @@ int cmd_run(const util::ArgParser& args) {
     table.add_row({"invariant checks", result.run.invariant_checks});
     table.add_row({"invariant violations", result.run.invariant_violations.size()});
   }
-  if (checkpointed) {
-    table.add_row({"checkpoints written/restored/rejected",
-                   std::to_string(ckpt_stats.written) + "/" +
-                       std::to_string(ckpt_stats.restored) + "/" +
-                       std::to_string(ckpt_stats.rejected)});
-    table.add_row({"resumed from epoch", ckpt_stats.resumed_epoch});
-  }
   std::fputs(table.render("psched run").c_str(), stdout);
 
   for (const validate::Violation& v : result.run.invariant_violations)
@@ -857,10 +781,8 @@ int cmd_run(const util::ArgParser& args) {
     std::fprintf(stderr, "error: cannot write %s\n", csv.c_str());
     return 2;
   }
-  const obs::ReportCheckpoint ckpt_section = checkpoint_report(ckpt, ckpt_stats);
   if (!engine::write_observability_outputs(result, config, rec, report_out,
-                                           trace_out,
-                                           checkpointed ? &ckpt_section : nullptr)) {
+                                           trace_out)) {
     std::fputs("error: cannot write --report-out/--trace-out file\n", stderr);
     return 2;
   }
