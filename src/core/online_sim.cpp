@@ -93,13 +93,21 @@ const ComponentDecision& decision_of(std::vector<ComponentDecision>& decided,
   return decided.back();
 }
 
+/// Keep the members of `b` whose class (indexed by member position) is `k`.
+void keep_members(SimBranch& b, const std::vector<std::uint32_t>& classes, std::uint32_t k) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < b.members.size(); ++i)
+    if (classes[i] == k) b.members[kept++] = b.members[i];
+  b.members.resize(kept);
+}
+
 /// One group evaluation (OnlineSimulator::simulate): branches are stepped
-/// depth-first off the arena's stack and split points. Each step evaluates
-/// the lease decision once per distinct provisioning policy, the queue
-/// order once per distinct job-selection policy, the allocation plan once
-/// per distinct VM-selection policy within each (lease, order) subgroup,
-/// and the next wake-up once per distinct provisioning policy; members
-/// split into new branches only where those decisions differ.
+/// depth-first off the arena's stack. Each step evaluates the lease
+/// decision once per distinct provisioning policy, the queue order once per
+/// distinct job-selection policy, the allocation plan once per distinct
+/// VM-selection policy within each (lease, order) subgroup, and the next
+/// wake-up once per distinct provisioning policy; members fork onto the
+/// stack only where those decisions differ.
 class GroupEvaluation {
  public:
   GroupEvaluation(const OnlineSimConfig& config, const RoundSnapshot& snapshot,
@@ -118,8 +126,6 @@ class GroupEvaluation {
       arena_.release(std::move(arena_.stack.back()));
       arena_.stack.pop_back();
     }
-    for (SplitPoint& point : arena_.splits)
-      if (point.state != nullptr) arena_.release(std::move(point.state));
     std::unique_ptr<SimBranch> root = arena_.acquire();
     init(*root);
     if (root->pending.empty()) {
@@ -127,20 +133,13 @@ class GroupEvaluation {
       return stats_;
     }
     arena_.stack.push_back(std::move(root));
-    // Depth-first: live branches step first; a split point's next class
-    // runs only once everything below its previous class has finished.
-    for (;;) {
-      if (!arena_.stack.empty()) {
-        std::unique_ptr<SimBranch> branch = std::move(arena_.stack.back());
-        arena_.stack.pop_back();
-        step(std::move(branch));
-        continue;
-      }
-      while (open_splits_ > 0 && arena_.splits[open_splits_ - 1].remaining == 0)
-        --open_splits_;
-      if (open_splits_ == 0) return stats_;
-      resume_split();
+    // Depth-first: the back of the stack steps next.
+    while (!arena_.stack.empty()) {
+      std::unique_ptr<SimBranch> branch = std::move(arena_.stack.back());
+      arena_.stack.pop_back();
+      step(std::move(branch));
     }
+    return stats_;
   }
 
  private:
@@ -319,12 +318,18 @@ class GroupEvaluation {
 
   /// One decision step of branch `owned`: evaluate every member's
   /// decisions, split the members by their (lease, order, plan) class,
-  /// advance the first class on `owned` and defer the others to a split
-  /// point.
+  /// fork each class but the first from the pre-step state, and advance
+  /// the first class on `owned`.
   void step(std::unique_ptr<SimBranch> owned) {
     SimBranch& b = *owned;
     if (++b.decisions > config_.max_iterations) {
-      PSCHED_ASSERT_MSG(false, "online simulation exceeded the iteration cap");
+      // A stuck trajectory (say, a lease plan that is never granted) fails
+      // its members like a throwing component, not the whole run.
+      const std::exception_ptr error = std::make_exception_ptr(
+          std::runtime_error("online simulation exceeded the iteration cap"));
+      for (const std::uint32_t m : b.members) out_[m].error = error;
+      arena_.release(std::move(owned));
+      return;
     }
     ++stats_.steps;
     const std::size_t n = b.members.size();
@@ -374,79 +379,34 @@ class GroupEvaluation {
       if (d.decision == kThrew) out_[b.members[i]].error = d.error;
     }
 
-    // --- split by plan class, then advance each class -------------------------
-    if (arena_.split.size() < plan_count_) arena_.split.resize(plan_count_);
-    for (std::uint32_t k = 0; k < plan_count_; ++k) arena_.split[k].clear();
-    for (std::size_t i = 0; i < n; ++i)
-      if (arena_.member_plan[i] != kThrew)
-        arena_.split[arena_.member_plan[i]].push_back(b.members[i]);
+    // --- fork by plan class, then advance each class ---------------------------
     if (plan_count_ == 0) {  // every member's component threw
       arena_.release(std::move(owned));
       return;
     }
-    if (plan_count_ > 1) {
-      // Classes 1.. wait at a split point holding the pre-step state.
-      SplitPoint& point = open_split(b, plan_count_ - 1);
-      for (std::uint32_t k = 1; k < plan_count_; ++k) {
-        DeferredClass& deferred = point.classes[plan_count_ - 1 - k];
-        deferred.members.swap(arena_.split[k]);
-        deferred.wake_up = false;
-        deferred.grants = arena_.leases[arena_.plan_lease[k]];
-        deferred.order = arena_.orders[arena_.plan_order[k]];
-        deferred.plan = arena_.plans[k];
-      }
+    // Classes 1.. fork from the pre-step state before class 0 advances on
+    // `owned`; class 0, advanced last, lands on top of the stack.
+    for (std::uint32_t k = plan_count_ - 1; k > 0; --k) {
+      std::unique_ptr<SimBranch> fork = arena_.acquire();
+      *fork = b;
+      keep_members(*fork, arena_.member_plan, k);
+      advance(std::move(fork), k);
     }
-    b.members.swap(arena_.split[0]);
-    advance(std::move(owned), arena_.leases[arena_.plan_lease[0]],
-            arena_.orders[arena_.plan_order[0]], arena_.plans[0]);
+    keep_members(b, arena_.member_plan, 0);
+    advance(std::move(owned), 0);
   }
 
-  /// Open a split point saving a copy of `b`, for `classes` deferred
-  /// classes stored in reverse (classes[remaining - 1] runs next). Each
-  /// class is materialized from the saved state only when its turn comes,
-  /// so a wide split costs one saved state, not one per class.
-  SplitPoint& open_split(const SimBranch& b, std::size_t classes) {
-    if (arena_.splits.size() == open_splits_) arena_.splits.emplace_back();
-    SplitPoint& point = arena_.splits[open_splits_++];
-    point.state = arena_.acquire();
-    *point.state = b;
-    point.remaining = classes;
-    if (point.classes.size() < classes) point.classes.resize(classes);
-    return point;
-  }
-
-  /// Run the next deferred class of the innermost open split point. An
-  /// exhausted point stays open until the run loop pops it, so splits the
-  /// class opens go above it and never reuse the storage `deferred` lives in.
-  void resume_split() {
-    SplitPoint& point = arena_.splits[open_splits_ - 1];
-    DeferredClass& deferred = point.classes[--point.remaining];
-    std::unique_ptr<SimBranch> branch;
-    if (point.remaining == 0) {  // the last class takes the saved state itself
-      branch = std::move(point.state);
-    } else {
-      branch = arena_.acquire();
-      *branch = *point.state;
-    }
-    branch->members.swap(deferred.members);
-    if (deferred.wake_up) {
-      branch->now = deferred.now;
-      arena_.stack.push_back(std::move(branch));
-      return;
-    }
-    advance(std::move(branch), deferred.grants, deferred.order, deferred.plan);
-  }
-
-  /// Apply one decision class — lease `grants`, queue `order`, allocation
-  /// `plan` — to `owned`, release idle VMs, and either finish the branch or
-  /// schedule its next step. `order` becomes the branch's queue by swap, so
-  /// it holds scratch afterwards.
-  void advance(std::unique_ptr<SimBranch> owned,
-               const std::vector<cloud::LeaseRequest>& grants,
-               std::vector<policy::QueuedJob>& order,
-               const policy::AllocationPlan& plan) {
+  /// Apply plan class `k` — its lease grants, queue order and allocation
+  /// plan — to `owned`, release idle VMs, and either finish the branch or
+  /// fork it by wake-up instant onto the stack. Classes can share an order
+  /// class, so only the order's last use (the lowest class using it) takes
+  /// it by swap; the others copy it.
+  void advance(std::unique_ptr<SimBranch> owned, std::uint32_t k) {
     SimBranch& b = *owned;
     const SimTime now = b.now;
+    const std::vector<cloud::LeaseRequest>& grants = arena_.leases[arena_.plan_lease[k]];
+    std::vector<policy::QueuedJob>& order = arena_.orders[arena_.plan_order[k]];
+    const policy::AllocationPlan& plan = arena_.plans[k];
 
     // Lease.
     std::size_t to_lease = 0;
@@ -466,7 +426,11 @@ class GroupEvaluation {
     }
 
     // Order and allocate (shared planner; head-of-line or EASY backfill).
-    b.pending.swap(order);
+    bool last_use = true;
+    for (std::uint32_t j = 0; j < k; ++j)
+      if (arena_.plan_order[j] == arena_.plan_order[k]) last_use = false;
+    if (last_use) b.pending.swap(order);
+    else b.pending.assign(order.begin(), order.end());
     if (!plan.empty()) {
       arena_.served.assign(b.pending.size(), 0);
       for (const policy::AllocationPlan::Start& start : plan.starts) {
@@ -508,7 +472,7 @@ class GroupEvaluation {
     // fidelity requires considering it. Quiet stretches still fast-forward
     // directly to the next event. Guaranteed to move forward (see
     // DESIGN.md). Only next_change differs between members, so members
-    // split again where their wake-up instants differ.
+    // fork again where their wake-up instants differ.
     const bool changed = to_lease > 0 || !plan.empty();
     SimTime next_avail = kTimeNever;
     std::size_t idle = 0, booting = 0;
@@ -544,24 +508,16 @@ class GroupEvaluation {
       arena_.release(std::move(owned));
       return;
     }
-    const auto wake_ups = static_cast<std::uint32_t>(arena_.next.size());
-    if (wake_ups > 1) {
-      // Members waking at other instants wait at a split point holding the
-      // post-step state.
-      SplitPoint& point = open_split(b, wake_ups - 1);
-      for (std::uint32_t k = 1; k < wake_ups; ++k) {
-        DeferredClass& deferred = point.classes[wake_ups - 1 - k];
-        deferred.members.clear();
-        for (std::size_t i = 0; i < n; ++i)
-          if (arena_.member_next[i] == k) deferred.members.push_back(b.members[i]);
-        deferred.wake_up = true;
-        deferred.now = arena_.next[k];
-      }
+    // Members waking at other instants fork the post-step state; the first
+    // instant, pushed last, steps next.
+    for (auto w = static_cast<std::uint32_t>(arena_.next.size() - 1); w > 0; --w) {
+      std::unique_ptr<SimBranch> fork = arena_.acquire();
+      *fork = b;
+      keep_members(*fork, arena_.member_next, w);
+      fork->now = arena_.next[w];
+      arena_.stack.push_back(std::move(fork));
     }
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      if (arena_.member_next[i] == 0) b.members[kept++] = b.members[i];
-    b.members.resize(kept);
+    keep_members(b, arena_.member_next, 0);
     b.now = arena_.next[0];
     arena_.stack.push_back(std::move(owned));
   }
@@ -653,7 +609,6 @@ class GroupEvaluation {
   std::uint32_t order_count_ = 0;
   std::uint32_t plan_count_ = 0;
   std::uint32_t avail_lease_ = kThrew;  ///< lease class arena_.avail holds
-  std::size_t open_splits_ = 0;   ///< split points with classes still to run
 };
 
 }  // namespace

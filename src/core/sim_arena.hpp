@@ -109,39 +109,17 @@ struct ComponentDecision {
   std::exception_ptr error;  ///< set iff decision == kThrew
 };
 
-/// One decision class of a split step, waiting for its turn: its members
-/// and the decisions they made on the split point's saved state — either a
-/// whole (lease, order, plan) decision still to apply, or, for members that
-/// only wake up at a different instant, that instant.
-struct DeferredClass {
-  std::vector<std::uint32_t> members;
-  bool wake_up = false;  ///< only `now` differs (the state is post-step)
-  SimTime now = 0.0;
-  std::vector<cloud::LeaseRequest> grants;
-  std::vector<policy::QueuedJob> order;
-  policy::AllocationPlan plan;
-};
-
-/// A step whose members split: the saved state and the classes that have
-/// not run yet (the first class runs at once, on the original branch).
-struct SplitPoint {
-  std::unique_ptr<SimBranch> state;
-  std::vector<DeferredClass> classes;  ///< storage reused; see `remaining`
-  std::size_t remaining = 0;           ///< classes[0, remaining) still to run
-};
-
 struct SimArena {
   // --- branch pool -------------------------------------------------------
   /// Idle branch states, reused across evaluations and grown on demand.
-  /// Depth-first evaluation holds the running branch, the branches waiting
-  /// on `stack`, and one saved state per open split point; each of them
-  /// stands for at least one member of its own, so an N-policy group never
-  /// holds more than N states, and usually a handful.
+  /// Depth-first evaluation holds the running branch and the branches
+  /// waiting on `stack`; each of them carries at least one member of its
+  /// own, so an N-policy group never holds more than N states, and usually
+  /// a handful.
   std::vector<std::unique_ptr<SimBranch>> spare;
-  /// Branches waiting to be stepped (depth-first: the back runs next).
+  /// Branches waiting to be stepped (depth-first: the back runs next). A
+  /// step whose members split forks each extra class onto it.
   std::vector<std::unique_ptr<SimBranch>> stack;
-  /// Open split points, innermost last (storage reused across evaluations).
-  std::vector<SplitPoint> splits;
 
   [[nodiscard]] std::unique_ptr<SimBranch> acquire() {
     if (spare.empty()) return std::make_unique<SimBranch>();
@@ -166,8 +144,6 @@ struct SimArena {
   std::vector<std::uint32_t> member_plan;
   std::vector<std::uint32_t> member_next;  ///< index into `next`, or kThrew
   std::vector<SimTime> next;               ///< distinct wake-up instants
-  /// Member lists of the branches a step splits into, one per plan.
-  std::vector<std::vector<std::uint32_t>> split;
   std::vector<cloud::LeaseRequest> lease_requests;  ///< lease_plan output
   cloud::PricingView grant_pricing;  ///< occupancy scratch for lease grants
   std::vector<policy::VmAvail> avail;  ///< availability view for the planner

@@ -30,31 +30,10 @@ bool write_all(std::FILE* file, std::string_view content) {
          std::fwrite(content.data(), 1, content.size(), file) == content.size();
 }
 
-/// Write `content` straight to `path` (non-atomic; fault paths only).
-bool write_plain(const std::string& path, std::string_view content) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const bool ok = write_all(file, content);
-  std::fclose(file);
-  return ok;
-}
-
 }  // namespace
 
 bool write_file_atomic(const std::string& path, std::string_view content,
                        AtomicWriteFault fault) {
-  std::string payload;
-  if (fault == AtomicWriteFault::kTornDestination) {
-    // What a crash mid-write does without this helper: the destination
-    // itself holds a truncated prefix.
-    return write_plain(path, content.substr(0, content.size() / 2));
-  }
-  if (fault == AtomicWriteFault::kBitFlip) {
-    payload.assign(content);
-    if (!payload.empty()) payload[payload.size() / 2] ^= 0x10;
-    content = payload;
-  }
-
   const std::string temp = path + ".tmp";
   std::FILE* file = std::fopen(temp.c_str(), "wb");
   if (file == nullptr) return false;

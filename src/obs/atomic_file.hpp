@@ -9,9 +9,7 @@
 // makes sure the renamed bytes are the new content, not a cached prefix.
 //
 // Fault injection (validate/fault.hpp idiom): tests simulate a crash
-// mid-write via AtomicWriteFault to prove the destination survives intact,
-// and the torn-write/bit-flip faults show the failure modes a reader of a
-// non-atomic write would have to detect.
+// mid-write via AtomicWriteFault to prove the destination survives intact.
 
 #include <string>
 #include <string_view>
@@ -25,13 +23,6 @@ enum class AtomicWriteFault {
   /// Crash simulation: write only a prefix of the content to the temp file
   /// and stop before the rename. The destination is left untouched.
   kCrashBeforeRename,
-  /// Torn destination: bypass the temp+rename discipline and write a
-  /// truncated prefix straight to the destination (what a crash mid-write
-  /// would do WITHOUT this helper). Exercises torn-artifact detection.
-  kTornDestination,
-  /// Flip one bit of the content before the (otherwise clean) atomic
-  /// write. Exercises checksum verification.
-  kBitFlip,
 };
 
 /// Atomically replace `path` with `content`: write `path` + ".tmp", flush

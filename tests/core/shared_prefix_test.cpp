@@ -199,6 +199,38 @@ TEST(SharedPrefix, IdenticalPoliciesShareOnePath) {
     expect_bit_identical(member.outcome, out[0].outcome, "copy");
 }
 
+TEST(SharedPrefix, ForksStayWithinOneStatePerMember) {
+  // Every branch on the stack carries at least one member, so a group of N
+  // policies never holds more than N states: after wide-splitting groups
+  // the stack is empty and the pool holds at most one state per member.
+  const policy::Portfolio pricing = policy::Portfolio::pricing_portfolio();
+  cloud::CloudProfile priced = make_profile(64, 600);
+  priced.pricing.enabled = true;
+  priced.pricing.spot_price_fraction = 0.35;
+  priced.pricing.reserved_total = 6;
+  priced.pricing.families = {{1.0, 100.0, 0, 0}, {0.6, 240.0, 12, 0}};
+  for (const cloud::VmView& vm : priced.vms)
+    ++priced.pricing.families[vm.family].in_use;
+  const std::vector<policy::QueuedJob> queue = make_queue(64, 700);
+  for (const bool pricing_on : {false, true}) {
+    const policy::Portfolio& portfolio = pricing_on ? pricing : paper();
+    RoundSnapshot snapshot;
+    snapshot.build(queue, pricing_on ? priced : make_profile(64, 600));
+    for (const ReleaseRule rule : {ReleaseRule::kEagerSurplus, ReleaseRule::kBoundary}) {
+      OnlineSimConfig config = sim_config();
+      config.release_rule = rule;
+      const std::string where = std::to_string(portfolio.size()) + " policies, rule " +
+                                std::to_string(static_cast<int>(rule));
+      SimArena arena;
+      const GroupStats stats = expect_group_matches_solo(
+          OnlineSimulator(config), snapshot, portfolio.policies(), arena, where);
+      EXPECT_GT(stats.paths, portfolio.size() / 2) << where;  // a wide split
+      EXPECT_TRUE(arena.stack.empty()) << where;
+      EXPECT_LE(arena.spare.size(), portfolio.size()) << where;
+    }
+  }
+}
+
 // --- failures ------------------------------------------------------------------
 
 /// Test-only provisioning policy: leases like ODA, but throws whenever it

@@ -9,6 +9,8 @@
 
 #include "engine/cluster_sim.hpp"
 #include "engine/experiment.hpp"
+#include "obs/obs.hpp"
+#include "workload/generator.hpp"
 
 namespace psched::engine {
 namespace {
@@ -159,6 +161,33 @@ TEST(PricingEngine, MixedMarketDeterministicAcrossRepeats) {
 
   const RunResult one = run();
   expect_identical(one, run());
+}
+
+TEST(PricingEngine, StuckCandidatesAreQuarantinedNotFatal) {
+  // A DAS2-fs0 half day under the mixed market. Some tier-aware candidates
+  // ask for their whole deficit from the cheapest family while it sits at
+  // its cap, so nothing is ever granted and their inner trajectory never
+  // drains. The online simulator's iteration cap must fail exactly those
+  // candidates, which the selector quarantines, instead of aborting the run.
+  const workload::Trace trace =
+      workload::TraceGenerator(workload::paper_archetypes(0.5)[2]).generate(31).cleaned(64);
+  ASSERT_EQ(trace.name(), "DAS2-fs0");
+  for (const ReleaseRule rule : {ReleaseRule::kEagerSurplus, ReleaseRule::kBoundary}) {
+    EngineConfig config = checked_config();
+    config.release_rule = rule;
+    config.pricing = mixed_market();
+    core::PortfolioSchedulerConfig pconfig = paper_portfolio_config(config);
+    pconfig.selector.budget_mode = core::BudgetMode::kFixedCount;
+    pconfig.selector.fixed_count = 16;
+    pconfig.online_sim.max_iterations = 20000;
+    obs::Recorder recorder(obs::ObsConfig{obs::ObsLevel::kCounters});
+    const RunResult run = run_portfolio(config, trace, pricing_portfolio(), pconfig,
+                                        PredictorKind::kPerfect, &recorder).run;
+    EXPECT_TRUE(run.invariant_violations.empty());
+    EXPECT_GT(run.metrics.jobs, 0u);
+    EXPECT_EQ(run.metrics.jobs + run.metrics.failures.jobs_killed_final, trace.size());
+    EXPECT_GT(recorder.counters().at("selector.quarantined"), 0.0);
+  }
 }
 
 // ---------------------------------------------------------------------------

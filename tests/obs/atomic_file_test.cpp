@@ -1,8 +1,6 @@
 // Crash-safe emission tests (DESIGN.md §9): write_file_atomic must leave
 // either the complete previous file or the complete new file — a simulated
-// crash mid-write (kCrashBeforeRename) keeps the previous content intact,
-// while the deliberately broken kTornDestination path shows what the helper
-// exists to prevent.
+// crash mid-write (kCrashBeforeRename) keeps the previous content intact.
 #include "obs/atomic_file.hpp"
 
 #include <gtest/gtest.h>
@@ -72,34 +70,6 @@ TEST_F(AtomicFileTest, CrashMidWriteOnAFreshPathLeavesNoDestination) {
   EXPECT_FALSE(write_file_atomic(path_, "never lands",
                                  AtomicWriteFault::kCrashBeforeRename));
   EXPECT_FALSE(fs::exists(path_));
-}
-
-TEST_F(AtomicFileTest, TornDestinationFaultShowsTheFailureModePrevented) {
-  // kTornDestination bypasses temp+rename on purpose: the destination ends
-  // up a truncated prefix — exactly what downstream validation (report
-  // schemas) must catch.
-  const std::string full = "0123456789abcdef0123456789abcdef";
-  EXPECT_TRUE(write_file_atomic(path_, full, AtomicWriteFault::kTornDestination));
-  const std::string torn = contents();
-  EXPECT_LT(torn.size(), full.size());
-  EXPECT_EQ(full.compare(0, torn.size(), torn), 0) << "torn file is a prefix";
-}
-
-TEST_F(AtomicFileTest, BitFlipFaultCorruptsExactlyOneBit) {
-  const std::string full = "0123456789abcdef";
-  EXPECT_TRUE(write_file_atomic(path_, full, AtomicWriteFault::kBitFlip));
-  const std::string flipped = contents();
-  ASSERT_EQ(flipped.size(), full.size());
-  int bits = 0;
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    unsigned diff = static_cast<unsigned char>(full[i]) ^
-                    static_cast<unsigned char>(flipped[i]);
-    while (diff != 0) {
-      bits += static_cast<int>(diff & 1u);
-      diff >>= 1;
-    }
-  }
-  EXPECT_EQ(bits, 1);
 }
 
 TEST_F(AtomicFileTest, UnwritableDirectoryFailsWithoutTouchingAnything) {

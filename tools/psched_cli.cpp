@@ -1,12 +1,16 @@
 // psched — command-line driver for the library.
 //
+// A flag a subcommand does not read, or --max-procs without an SWF
+// file, is a usage error (exit 1) before anything runs.
+//
 // Subcommands:
 //   list-policies
 //       Print the 60-policy portfolio.
 //   generate  --archetype NAME --days N [--seed S] [--out FILE.swf]
 //             [--workflows] [--rate WF_PER_DAY]
 //       Generate a synthetic trace (or workflow campaign) and write SWF.
-//   characterize  FILE.swf | --archetype NAME --days N [--seed S]
+//   characterize  FILE.swf [--max-procs N] | --archetype NAME --days N
+//                 [--seed S] | --workflows [--rate WF_PER_DAY] [--days N]
 //       Print the workload profile (Table-1 summary + distributions).
 //   run  [FILE.swf [--max-procs N] | --archetype NAME |
 //         --workflows [--rate WF_PER_DAY]] [--days N] [--seed S]
@@ -26,8 +30,7 @@
 //        [--pricing-seed S]
 //        [--tenants N] [--tenant-weights W1,...,WN] [--tenant-budget HOURS]
 //        [--arbitration-ticks T] [--eval-threads N]
-//       Run one scenario and print the paper's metrics. A flag not listed
-//       here is a usage error (exit 1) before anything runs.
+//       Run one scenario and print the paper's metrics.
 //       --budget-mode fixed-count accounts the selection budget as a
 //       per-round simulation count (--fixed-count N, 0 = unbounded) instead
 //       of wall-clock milliseconds: no clock reads, so runs are bit-identical
@@ -85,6 +88,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -113,22 +117,47 @@ int usage() {
   return 1;
 }
 
+/// The positional SWF trace file, or "" when the trace is generated.
+std::string swf_file(const util::ArgParser& args) {
+  for (const std::string& positional : args.positional())
+    if (positional.find(".swf") != std::string::npos) return positional;
+  return "";
+}
+
+/// The flags trace_from_args reads.
+constexpr std::string_view kTraceFlags[] = {"max-procs", "archetype", "workflows",
+                                            "rate",      "days",      "seed"};
+
+/// Reject, before any work, a flag the command does not read (a typo or a
+/// retired flag would otherwise run defaults without a word) and
+/// --max-procs without an SWF file (generated traces are always cleaned to
+/// 64 procs). Prints the error; true means exit 1.
+bool usage_error(const util::ArgParser& args, std::span<const std::string_view> known) {
+  if (const std::string unknown = args.first_unknown(known); !unknown.empty()) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
+    return true;
+  }
+  if (args.has("max-procs") && swf_file(args).empty()) {
+    std::fputs("error: --max-procs applies only to an SWF trace file\n", stderr);
+    return true;
+  }
+  return false;
+}
+
 workload::Trace trace_from_args(const util::ArgParser& args, bool& ok) {
   ok = true;
   const double days = args.get_double("days", 7.0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20130717));
 
   // Positional SWF file wins.
-  for (const std::string& positional : args.positional()) {
-    if (positional.find(".swf") != std::string::npos) {
-      try {
-        return workload::load_swf(positional).cleaned(
-            static_cast<int>(args.get_int("max-procs", 64)));
-      } catch (const workload::SwfError& error) {
-        std::fprintf(stderr, "error: %s\n", error.what());
-        ok = false;
-        return {};
-      }
+  if (const std::string file = swf_file(args); !file.empty()) {
+    try {
+      return workload::load_swf(file).cleaned(
+          static_cast<int>(args.get_int("max-procs", 64)));
+    } catch (const workload::SwfError& error) {
+      std::fprintf(stderr, "error: %s\n", error.what());
+      ok = false;
+      return {};
     }
   }
   if (args.get_bool("workflows")) {
@@ -158,6 +187,9 @@ int cmd_list_policies() {
 }
 
 int cmd_generate(const util::ArgParser& args) {
+  constexpr std::string_view kGenerateFlags[] = {
+      "max-procs", "archetype", "workflows", "rate", "days", "seed", "out"};
+  if (usage_error(args, kGenerateFlags)) return 1;
   bool ok = true;
   const workload::Trace trace = trace_from_args(args, ok);
   if (!ok) return 2;
@@ -173,6 +205,7 @@ int cmd_generate(const util::ArgParser& args) {
 }
 
 int cmd_characterize(const util::ArgParser& args) {
+  if (usage_error(args, kTraceFlags)) return 1;
   bool ok = true;
   const workload::Trace trace = trace_from_args(args, ok);
   if (!ok) return 2;
@@ -323,9 +356,7 @@ std::vector<workload::Trace> tenant_traces_from_args(
     const util::ArgParser& args, const workload::Trace& shared,
     const std::vector<int>& quota_floors) {
   const std::size_t count = quota_floors.size();
-  bool generated = !args.get_bool("workflows");
-  for (const std::string& positional : args.positional())
-    if (positional.find(".swf") != std::string::npos) generated = false;
+  const bool generated = !args.get_bool("workflows") && swf_file(args).empty();
 
   std::vector<workload::Trace> traces;
   traces.reserve(count);
@@ -513,12 +544,7 @@ constexpr std::string_view kRunFlags[] = {
     "tenant-budget", "arbitration-ticks", "eval-threads"};
 
 int cmd_run(const util::ArgParser& args) {
-  // Reject unknown flags before any work: a typo or a retired flag would
-  // otherwise run a default scenario without a word.
-  if (const std::string unknown = args.first_unknown(kRunFlags); !unknown.empty()) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
-    return 1;
-  }
+  if (usage_error(args, kRunFlags)) return 1;
   bool ok = true;
   const workload::Trace trace = trace_from_args(args, ok);
   if (!ok) return 2;

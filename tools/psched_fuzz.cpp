@@ -12,9 +12,11 @@
 // into a checker self-test: it is then EXPECTED to fail. --no-tenants skips
 // the multi-tenant scenario draws (reproduces pre-tenant scenarios exactly).
 //
-// Exit codes: 0 all seeds clean, 1 usage error, 2 invariant violation found.
+// Exit codes: 0 all seeds clean, 1 usage error (including a flag not listed
+// above), 2 invariant violation found.
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "util/argparse.hpp"
 #include "validate/fuzz.hpp"
@@ -22,6 +24,12 @@
 int main(int argc, char** argv) {
   using namespace psched;
   const util::ArgParser args(argc, argv);
+  constexpr std::string_view kFuzzFlags[] = {"seeds",     "base-seed", "max-seconds",
+                                             "no-shrink", "no-tenants", "inject-fault"};
+  if (const std::string unknown = args.first_unknown(kFuzzFlags); !unknown.empty()) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
+    return 1;
+  }
 
   validate::FuzzConfig config;
   config.num_seeds = static_cast<std::size_t>(args.get_int("seeds", 50));
