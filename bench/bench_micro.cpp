@@ -11,12 +11,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/round_snapshot.hpp"
 #include "core/selector.hpp"
 #include "core/sim_arena.hpp"
 #include "engine/experiment.hpp"
@@ -105,9 +105,10 @@ void BM_OnlineSim_QueueDepth(benchmark::State& state) {
 BENCHMARK(BM_OnlineSim_QueueDepth)->RangeMultiplier(4)->Range(1, 256);
 
 void BM_OnlineSim_WarmArena(benchmark::State& state) {
-  // The selector's per-candidate inner-sim cost on the hot path: the round
-  // snapshot is built once per selection round and the arena is reused
-  // across candidates, so only the decision loop itself is measured.
+  // The selector's per-candidate inner-sim cost on the hot path: the arena
+  // is reused across calls, as across selection rounds, and each call
+  // derives its root branch from the queue and profile before the decision
+  // loop runs.
   static const policy::Portfolio& portfolio = *new policy::Portfolio(
       policy::Portfolio::paper_portfolio());
   core::OnlineSimConfig config;
@@ -116,27 +117,14 @@ void BM_OnlineSim_WarmArena(benchmark::State& state) {
   const auto queue = make_queue(static_cast<std::size_t>(state.range(0)));
   const auto profile = typical_profile();
   const auto& policy = portfolio.policies()[13];  // ODB-LXF-FirstFit
-  core::RoundSnapshot snapshot;
-  snapshot.build(queue, profile);
   core::SimArena arena;
+  core::MemberOutcome out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.simulate(snapshot, policy, arena));
+    (void)sim.simulate(queue, profile, std::span(&policy, 1), arena, std::span(&out, 1));
+    benchmark::DoNotOptimize(out.outcome);
   }
 }
 BENCHMARK(BM_OnlineSim_WarmArena)->RangeMultiplier(4)->Range(1, 256);
-
-void BM_RoundSnapshot_Build(benchmark::State& state) {
-  // Once-per-round cost of snapshotting queue + profile into columns
-  // (amortized over all 60 candidates).
-  const auto queue = make_queue(static_cast<std::size_t>(state.range(0)));
-  const auto profile = typical_profile();
-  core::RoundSnapshot snapshot;
-  for (auto _ : state) {
-    snapshot.build(queue, profile);
-    benchmark::DoNotOptimize(snapshot.job_count());
-  }
-}
-BENCHMARK(BM_RoundSnapshot_Build)->RangeMultiplier(4)->Range(16, 256);
 
 void BM_OrderQueue(benchmark::State& state) {
   const auto base = make_queue(static_cast<std::size_t>(state.range(0)));

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <string_view>
 
 #include "obs/json.hpp"
 #include "obs/report.hpp"
@@ -10,6 +12,11 @@ namespace psched::bench {
 
 BenchEnv parse_env(int argc, const char* const* argv) {
   const util::ArgParser args(argc, argv);
+  constexpr std::string_view kFlags[] = {"weeks", "seed", "csv", "report", "threads"};
+  if (const std::string unknown = args.first_unknown(kFlags); !unknown.empty()) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
+    std::exit(1);
+  }
   BenchEnv env;
   env.weeks = args.get_double("weeks", env.weeks);
   if (const char* raw = std::getenv("PSCHED_BENCH_WEEKS"); raw != nullptr && !args.has("weeks")) {

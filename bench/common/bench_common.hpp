@@ -38,7 +38,8 @@ struct BenchEnv {
   [[nodiscard]] double days() const noexcept { return weeks * 7.0; }
 };
 
-/// Parse the common flags.
+/// Parse the common flags. Any other flag is a usage error: prints
+/// `error: unknown flag --X` and exits 1 before any work is done.
 [[nodiscard]] BenchEnv parse_env(int argc, const char* const* argv);
 
 /// The four cleaned paper traces for this environment.

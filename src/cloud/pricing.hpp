@@ -122,8 +122,8 @@ struct LeaseRequest {
 };
 
 /// Read-only pricing snapshot for one scheduling instant, embedded in
-/// CloudProfile (and copied into RoundSnapshot for the selector fast
-/// path). Prices are effective — base price × current multiplier.
+/// CloudProfile (and copied into each candidate simulation's root branch
+/// with pricing on). Prices are effective — base price × current multiplier.
 struct PricingView {
   struct Family {
     double price = 1.0;           ///< on-demand $/quantum at current multiplier

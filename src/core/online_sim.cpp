@@ -110,15 +110,17 @@ void keep_members(SimBranch& b, const std::vector<std::uint32_t>& classes, std::
 /// stack only where those decisions differ.
 class GroupEvaluation {
  public:
-  GroupEvaluation(const OnlineSimConfig& config, const RoundSnapshot& snapshot,
+  GroupEvaluation(const OnlineSimConfig& config, std::span<const policy::QueuedJob> queue,
+                  const cloud::CloudProfile& profile,
                   std::span<const policy::PolicyTriple> policies, SimArena& arena,
                   std::span<MemberOutcome> out)
       : config_(config),
-        snapshot_(snapshot),
+        queue_(queue),
+        profile_(profile),
         policies_(policies),
         arena_(arena),
         out_(out),
-        pricing_on_(snapshot.pricing.enabled) {}
+        pricing_on_(profile.pricing.enabled) {}
 
   GroupStats run() {
     // A previous evaluation that unwound mid-way may have left branches.
@@ -147,38 +149,43 @@ class GroupEvaluation {
     // Pricing (DESIGN.md §12): the branch keeps a mutable copy of the
     // round's pricing view — occupancy (family in_use, reserved_in_use)
     // tracks the inner fleet live so tier-aware policies see real
-    // headroom, while the market itself stays frozen at the snapshot's
+    // headroom, while the market itself stays frozen at the profile's
     // multiplier. Spot revocations are NOT simulated inside a candidate
     // (like crashes: the inner sim is the scheduler's optimistic plan, not
     // the adversary).
-    if (pricing_on_) b.pricing = snapshot_.pricing;
-    // The snapshot's VMs become rows 0..V-1 with ids 0..V-1, column by
-    // column (snapshot availability is already clamped to t0).
-    const std::size_t vms = snapshot_.vm_count();
+    if (pricing_on_) b.pricing = profile_.pricing;
+    // The profile's VMs become rows 0..V-1 with ids 0..V-1. An idle VM's
+    // available_at may predate the profile instant; the inner sim only
+    // cares "usable now", so availability is clamped to t0.
+    const SimTime t0 = profile_.now;
+    const std::size_t vms = profile_.vms.size();
     b.vm_id.resize(vms);
     b.vm_row.resize(vms);
+    b.vm_lease.resize(vms);
+    b.vm_avail.resize(vms);
+    b.vm_busy.resize(vms);
+    b.vm_family.assign(vms, 0);
+    b.vm_tier.assign(vms, 0);
     for (std::size_t i = 0; i < vms; ++i) {
+      const cloud::VmView& view = profile_.vms[i];
       b.vm_id[i] = static_cast<VmId>(i);
       b.vm_row[i] = static_cast<std::uint32_t>(i);
+      b.vm_lease[i] = view.lease_time;
+      b.vm_avail[i] = std::max(view.available_at, t0);
+      b.vm_busy[i] = view.busy ? 1 : 0;
+      if (pricing_on_) {
+        b.vm_family[i] = view.family;
+        b.vm_tier[i] = static_cast<unsigned char>(view.tier);
+      }
     }
     b.next_vm_id = static_cast<VmId>(vms);
-    b.vm_lease.assign(snapshot_.vm_lease.begin(), snapshot_.vm_lease.end());
-    b.vm_avail.assign(snapshot_.vm_available.begin(), snapshot_.vm_available.end());
-    b.vm_busy.assign(snapshot_.vm_busy.begin(), snapshot_.vm_busy.end());
     b.vm_fresh.assign(vms, 0);
-    if (pricing_on_) {
-      b.vm_family.assign(snapshot_.vm_family.begin(), snapshot_.vm_family.end());
-      b.vm_tier.assign(snapshot_.vm_tier.begin(), snapshot_.vm_tier.end());
-    } else {
-      b.vm_family.assign(vms, 0);
-      b.vm_tier.assign(vms, 0);
-    }
-    snapshot_.fill_pending(b.pending);
+    b.pending.assign(queue_.begin(), queue_.end());
     b.members.clear();
     for (std::size_t m = 0; m < policies_.size(); ++m)
       b.members.push_back(static_cast<std::uint32_t>(m));
-    b.now = snapshot_.t0;
-    b.last_completion = snapshot_.t0;
+    b.now = t0;
+    b.last_completion = t0;
     b.bsd_sum = 0.0;
     b.rj_proc_seconds = 0.0;
     b.rv_charged_seconds = 0.0;
@@ -196,7 +203,7 @@ class GroupEvaluation {
     ctx.idle_vms = idle;
     ctx.booting_vms = booting;
     ctx.total_vms = b.vm_count();
-    ctx.max_vms = snapshot_.max_vms;
+    ctx.max_vms = profile_.max_vms;
     if (pricing_on_) ctx.pricing = &b.pricing;
     return ctx;
   }
@@ -215,7 +222,7 @@ class GroupEvaluation {
   [[nodiscard]] SimDuration boot_delay(const SimBranch& b,
                                        const cloud::LeaseRequest& grant) const {
     return pricing_on_ ? b.pricing.families[grant.family].boot_delay
-                       : snapshot_.boot_delay;
+                       : profile_.boot_delay;
   }
 
   /// Lease decision of `p` in `b`: the grants it would actually receive,
@@ -290,7 +297,7 @@ class GroupEvaluation {
     }
     policy::AllocationPlan& plan = arena_.plans[plan_count_];
     policy::plan_allocation_into(b.now, arena_.orders[order], arena_.avail, vs,
-                                 config_.allocation, snapshot_.billing_quantum, plan,
+                                 config_.allocation, profile_.billing_quantum, plan,
                                  arena_.alloc);
     for (std::uint32_t k = 0; k < plan_count_; ++k) {
       if (arena_.plan_lease[k] == lease && arena_.plan_order[k] == order &&
@@ -337,7 +344,7 @@ class GroupEvaluation {
     // --- 1. provisioning ------------------------------------------------------
     const policy::SchedContext ctx = scan_fleet(b);
     const std::size_t headroom =
-        b.vm_count() >= snapshot_.max_vms ? 0 : snapshot_.max_vms - b.vm_count();
+        b.vm_count() >= profile_.max_vms ? 0 : profile_.max_vms - b.vm_count();
     lease_count_ = 0;
     arena_.decided.clear();
     arena_.member_lease.resize(n);
@@ -536,11 +543,11 @@ class GroupEvaluation {
         continue;
       }
       if (b.vm_avail[i] <= now &&
-          cloud::remaining_paid_at(b.vm_lease[i], now, snapshot_.billing_quantum) <=
+          cloud::remaining_paid_at(b.vm_lease[i], now, profile_.billing_quantum) <=
               config_.release_window) {
         double seconds = charge_seconds(b.vm_lease[i], b.vm_fresh[i] != 0, now,
-                                        snapshot_.t0, config_.cost_model,
-                                        snapshot_.billing_quantum);
+                                        profile_.now, config_.cost_model,
+                                        profile_.billing_quantum);
         if (pricing_on_) {
           seconds *= price_weight(b, i);
           cloud::PricingView::Family& fam = b.pricing.families[b.vm_family[i]];
@@ -575,19 +582,19 @@ class GroupEvaluation {
                   config_.schedule_period;
       }
       double seconds = charge_seconds(b.vm_lease[i], b.vm_fresh[i] != 0, release,
-                                      snapshot_.t0, config_.cost_model,
-                                      snapshot_.billing_quantum);
+                                      profile_.now, config_.cost_model,
+                                      profile_.billing_quantum);
       if (pricing_on_) seconds *= price_weight(b, i);
       b.rv_charged_seconds += seconds;
     }
-    PSCHED_ASSERT(b.finished == snapshot_.job_count());
+    PSCHED_ASSERT(b.finished == queue_.size());
 
     SimOutcome outcome;
     outcome.rj_proc_seconds = b.rj_proc_seconds;
     outcome.rv_charged_seconds = b.rv_charged_seconds;
     outcome.avg_bounded_slowdown =
         b.finished ? b.bsd_sum / static_cast<double>(b.finished) : 1.0;
-    outcome.sim_makespan = b.last_completion - snapshot_.t0;
+    outcome.sim_makespan = b.last_completion - profile_.now;
     outcome.decisions = b.decisions;
     outcome.utility = metrics::utility(config_.utility, outcome.rj_proc_seconds,
                                        outcome.rv_charged_seconds,
@@ -598,7 +605,8 @@ class GroupEvaluation {
   }
 
   const OnlineSimConfig& config_;
-  const RoundSnapshot& snapshot_;
+  std::span<const policy::QueuedJob> queue_;
+  const cloud::CloudProfile& profile_;
   std::span<const policy::PolicyTriple> policies_;
   SimArena& arena_;
   std::span<MemberOutcome> out_;
@@ -618,12 +626,14 @@ OnlineSimulator::OnlineSimulator(OnlineSimConfig config) : config_(config) {
   PSCHED_ASSERT(config_.slowdown_bound > 0.0);
 }
 
-GroupStats OnlineSimulator::simulate(const RoundSnapshot& snapshot,
+GroupStats OnlineSimulator::simulate(std::span<const policy::QueuedJob> queue,
+                                     const cloud::CloudProfile& profile,
                                      std::span<const policy::PolicyTriple> policies,
                                      SimArena& arena,
                                      std::span<MemberOutcome> out) const {
   // Const-thread-safe for distinct arenas (see header): all mutable state
-  // lives in `arena`; config_, the snapshot, and the policies are only read.
+  // lives in `arena`; config_, the queue, the profile, and the policies are
+  // only read.
   PSCHED_ASSERT(out.size() == policies.size());
   for (const policy::PolicyTriple& policy : policies)
     PSCHED_ASSERT(policy.provisioning && policy.job_selection && policy.vm_selection);
@@ -635,25 +645,17 @@ GroupStats OnlineSimulator::simulate(const RoundSnapshot& snapshot,
     for (MemberOutcome& member : out) member.error = error;
     return {};
   }
-  return GroupEvaluation(config_, snapshot, policies, arena, out).run();
-}
-
-SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
-                                     const policy::PolicyTriple& policy,
-                                     SimArena& arena) const {
-  MemberOutcome result;
-  (void)simulate(snapshot, std::span(&policy, 1), arena, std::span(&result, 1));
-  if (result.error) std::rethrow_exception(result.error);
-  return result.outcome;
+  return GroupEvaluation(config_, queue, profile, policies, arena, out).run();
 }
 
 SimOutcome OnlineSimulator::simulate(std::span<const policy::QueuedJob> queue,
                                      const cloud::CloudProfile& profile,
                                      const policy::PolicyTriple& policy) const {
-  RoundSnapshot snapshot;
-  snapshot.build(queue, profile);
   SimArena arena;
-  return simulate(snapshot, policy, arena);
+  MemberOutcome result;
+  (void)simulate(queue, profile, std::span(&policy, 1), arena, std::span(&result, 1));
+  if (result.error) std::rethrow_exception(result.error);
+  return result.outcome;
 }
 
 }  // namespace psched::core

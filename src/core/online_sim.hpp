@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "cloud/profile.hpp"
-#include "core/round_snapshot.hpp"
 #include "core/sim_arena.hpp"
 #include "metrics/utility.hpp"
 #include "policy/allocation.hpp"
@@ -114,10 +113,10 @@ struct GroupStats {
 /// Thread-safety: `simulate` is const-thread-safe — any number of threads
 /// may call it concurrently on one OnlineSimulator instance (with the same
 /// or different arguments), provided each concurrent call uses its own
-/// SimArena (the span/profile overload allocates one internally). This is a
+/// SimArena (the one-policy overload allocates one internally). This is a
 /// stated contract, not an accident: the simulator holds only the immutable
 /// config, every piece of mutable scratch lives in the caller-supplied
-/// arena, the RoundSnapshot is read-only during simulation, and the
+/// arena, the queue and profile are read-only during simulation, and the
 /// policies it drives are stateless (`const` interfaces throughout
 /// policy/*.hpp). Keep new scratch state inside SimArena when extending.
 class OnlineSimulator {
@@ -126,26 +125,23 @@ class OnlineSimulator {
 
   [[nodiscard]] const OnlineSimConfig& config() const noexcept { return config_; }
 
-  /// Simulate `policies` as one group from `snapshot` (DESIGN.md §11.2):
-  /// members share one state while their decisions agree — each decision
-  /// is evaluated once per distinct policy component — and fork where they
-  /// differ. `out[i]` receives policy i's outcome, bit-identical to
-  /// simulating it alone; a component that throws fails only the members
-  /// using it. Every piece of mutable state lives in `arena`.
-  GroupStats simulate(const RoundSnapshot& snapshot,
+  /// Simulate `policies` as one group scheduling `queue` from `profile`
+  /// (DESIGN.md §11.2): members share one state while their decisions
+  /// agree — each decision is evaluated once per distinct policy component
+  /// — and fork where they differ. `out[i]` receives policy i's outcome,
+  /// bit-identical to simulating it alone; a component that throws fails
+  /// only the members using it. Every piece of mutable state lives in
+  /// `arena`.
+  GroupStats simulate(std::span<const policy::QueuedJob> queue,
+                      const cloud::CloudProfile& profile,
                       std::span<const policy::PolicyTriple> policies, SimArena& arena,
                       std::span<MemberOutcome> out) const;
 
-  /// Simulate one policy against a prebuilt round snapshot: the one-member
-  /// group. Rethrows the exception a component threw.
-  [[nodiscard]] SimOutcome simulate(const RoundSnapshot& snapshot,
-                                    const policy::PolicyTriple& policy,
-                                    SimArena& arena) const;
-
   /// Simulate `policy` scheduling `queue` starting from `profile`.
   /// Deterministic: same inputs -> same outcome on every platform.
-  /// Convenience wrapper that builds a fresh RoundSnapshot and SimArena per
-  /// call, so it is allocation-heavy but needs no caller-side state.
+  /// Convenience wrapper: a one-member group on a fresh SimArena, so it is
+  /// allocation-heavy but needs no caller-side state. Rethrows the
+  /// exception a component threw.
   [[nodiscard]] SimOutcome simulate(std::span<const policy::QueuedJob> queue,
                                     const cloud::CloudProfile& profile,
                                     const policy::PolicyTriple& policy) const;

@@ -54,7 +54,9 @@ double TimeConstrainedSelector::candidate_cost(double measured_ms) const {
   return cost;
 }
 
-double TimeConstrainedSelector::evaluate(std::span<const std::size_t> candidates,
+double TimeConstrainedSelector::evaluate(std::span<const policy::QueuedJob> queue,
+                                         const cloud::CloudProfile& profile,
+                                         std::span<const std::size_t> candidates,
                                          std::vector<PolicyScore>& scores,
                                          std::vector<std::size_t>& quarantined) {
   // Batch trace spans use the recorder's clock (obs.cpp), independent of
@@ -73,7 +75,7 @@ double TimeConstrainedSelector::evaluate(std::span<const std::size_t> candidates
   std::chrono::steady_clock::time_point start;
   if (measured) start = std::chrono::steady_clock::now();
   const GroupStats stats =
-      simulator_.simulate(snapshot_, batch_policies_, arena_, batch_out_);
+      simulator_.simulate(queue, profile, batch_policies_, arena_, batch_out_);
   double measured_ms = 0.0;
   if (measured) {
     const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -112,10 +114,6 @@ SelectionResult TimeConstrainedSelector::select(
     std::span<const policy::QueuedJob> queue, const cloud::CloudProfile& profile,
     std::size_t preferred_index, std::span<const std::size_t> hints) {
   PSCHED_ASSERT_MSG(!queue.empty(), "selection on an empty queue is undefined");
-
-  // Build the shared round snapshot once (DESIGN.md §11): every candidate
-  // reads it.
-  snapshot_.build(queue, profile);
 
   const obs::Recorder::Scope round_scope(recorder_, "selector.round", 0);
   const bool obs_on = recorder_ != nullptr && recorder_->counters_on();
@@ -178,7 +176,7 @@ SelectionResult TimeConstrainedSelector::select(
   const auto charge = [&](std::size_t index, double& set_quota) {
     drawn_.push_back(index);
     const double cost = candidate_cost(
-        one_at_a_time ? evaluate({&index, 1}, scores, quarantined) : 0.0);
+        one_at_a_time ? evaluate(queue, profile, {&index, 1}, scores, quarantined) : 0.0);
     set_quota -= cost;
     charged_ms += cost;
   };
@@ -208,7 +206,7 @@ SelectionResult TimeConstrainedSelector::select(
   // The batch's measured wall time (0 unless measured) is charged on top of
   // the per-candidate charges already taken.
   if (!one_at_a_time && !drawn_.empty())
-    charged_ms += evaluate(drawn_, scores, quarantined);
+    charged_ms += evaluate(queue, profile, drawn_, scores, quarantined);
 
   // Phase 3: rearrange (l.20-24). Un-simulated Smart leftovers age into
   // Stale; the simulated policies re-rank into Smart (top lambda) and Poor.
@@ -220,6 +218,37 @@ SelectionResult TimeConstrainedSelector::select(
 
   PSCHED_ASSERT_MSG(!scores.empty() || !quarantined.empty(),
                     "budget did not allow a single simulation");
+  // The round record (observed rounds only); each outcome below supplies
+  // its tie fields and adds its own counters.
+  const auto record_round = [&](const SelectionResult& result, std::size_t tie_set,
+                                const char* tie_path) {
+    obs::SelectionRoundRecord record;
+    record.sim_now = profile.now;
+    record.simulated = result.scores.size();
+    record.budget_delta = bounded ? delta : 0.0;
+    record.budget_charged = charged_ms;
+    record.smart_in = smart_in;
+    record.stale_in = stale_in;
+    record.poor_in = poor_in;
+    record.smart_out = smart_.size();
+    record.stale_out = stale_.size();
+    record.poor_out = poor_.size();
+    for (const std::size_t index : smart_) {
+      if (std::find(smart_before.begin(), smart_before.end(), index) ==
+          smart_before.end())
+        ++record.smart_churn;
+    }
+    record.quarantined = result.quarantined;
+    record.chosen = result.best_index;
+    record.chosen_utility = result.best_utility;
+    record.tie_set = tie_set;
+    record.tie_path = tie_path;
+    recorder_->record_round(record);
+    recorder_->counter_add("selector.rounds", 1.0);
+    if (result.quarantined > 0)
+      recorder_->counter_add("selector.quarantined",
+                             static_cast<double>(result.quarantined));
+  };
   if (scores.empty()) {
     // Graceful degradation: every attempted candidate threw or blew its
     // per-candidate budget. Apply the last-known-good policy instead of
@@ -232,26 +261,7 @@ SelectionResult TimeConstrainedSelector::select(
     result.best_utility = 0.0;
     result.total_cost_ms = charged_ms;
     if (obs_on) {
-      obs::SelectionRoundRecord record;
-      record.sim_now = profile.now;
-      record.simulated = 0;
-      record.budget_delta = bounded ? delta : 0.0;
-      record.budget_charged = charged_ms;
-      record.smart_in = smart_in;
-      record.stale_in = stale_in;
-      record.poor_in = poor_in;
-      record.smart_out = smart_.size();
-      record.stale_out = stale_.size();
-      record.poor_out = poor_.size();
-      record.quarantined = quarantined.size();
-      record.chosen = result.best_index;
-      record.chosen_utility = 0.0;
-      record.tie_set = 0;
-      record.tie_path = "degraded";
-      recorder_->record_round(record);
-      recorder_->counter_add("selector.rounds", 1.0);
-      recorder_->counter_add("selector.quarantined",
-                             static_cast<double>(quarantined.size()));
+      record_round(result, 0, "degraded");
       recorder_->counter_add("selector.degraded_rounds", 1.0);
     }
     return result;
@@ -302,43 +312,18 @@ SelectionResult TimeConstrainedSelector::select(
   result.scores = std::move(scores);
 
   if (obs_on) {
-    obs::SelectionRoundRecord record;
-    record.sim_now = profile.now;
-    record.simulated = result.scores.size();
-    record.budget_delta = bounded ? delta : 0.0;
-    record.budget_charged = charged_ms;
-    record.smart_in = smart_in;
-    record.stale_in = stale_in;
-    record.poor_in = poor_in;
-    record.smart_out = smart_.size();
-    record.stale_out = stale_.size();
-    record.poor_out = poor_.size();
-    for (const std::size_t index : smart_) {
-      if (std::find(smart_before.begin(), smart_before.end(), index) ==
-          smart_before.end())
-        ++record.smart_churn;
-    }
-    record.quarantined = result.quarantined;
-    record.chosen = result.best_index;
-    record.chosen_utility = result.best_utility;
-    record.tie_set = tied;
-    if (tied <= 1) {
-      record.tie_path = "unique";
-    } else {
+    const char* tie_path = "unique";
+    if (tied > 1) {
       switch (config_.tie_break) {
-        case TieBreak::kRandom: record.tie_path = "random"; break;
-        case TieBreak::kSticky: record.tie_path = "sticky"; break;
-        case TieBreak::kFirstIndex: record.tie_path = "first-index"; break;
+        case TieBreak::kRandom: tie_path = "random"; break;
+        case TieBreak::kSticky: tie_path = "sticky"; break;
+        case TieBreak::kFirstIndex: tie_path = "first-index"; break;
       }
     }
-    recorder_->record_round(record);
-    recorder_->counter_add("selector.rounds", 1.0);
+    record_round(result, tied, tie_path);
     recorder_->counter_add("selector.candidates",
                            static_cast<double>(result.scores.size()));
     recorder_->counter_add("selector.budget_charged", charged_ms);
-    if (result.quarantined > 0)
-      recorder_->counter_add("selector.quarantined",
-                             static_cast<double>(result.quarantined));
   }
   return result;
 }

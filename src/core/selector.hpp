@@ -21,7 +21,7 @@
 // Candidates are drawn one at a time, as in the paper: Smart, then Stale,
 // then Poor. Whenever no budget charge depends on a measurement, the
 // round's whole candidate list is drawn first and simulated as one
-// shared-prefix group against the per-round RoundSnapshot; bounded
+// shared-prefix group against the round's queue and cloud profile; bounded
 // measured-wallclock rounds simulate each candidate as it is drawn through
 // the same evaluator (DESIGN.md §11.2). Either way scores, RNG draws,
 // quarantine order and budget charges are those of the sequential loop.
@@ -193,11 +193,12 @@ class TimeConstrainedSelector {
   /// of wall time (one unit in kFixedCount mode).
   [[nodiscard]] double candidate_cost(double measured_ms) const;
 
-  /// Simulate `candidates` as one shared-prefix group and append their
-  /// scores (or quarantine them) in order. Returns the measured wall time
-  /// in ms (0 when the budget reads no clock); each candidate is charged an
-  /// equal share of it.
-  double evaluate(std::span<const std::size_t> candidates,
+  /// Simulate `candidates` as one shared-prefix group scheduling `queue`
+  /// from `profile`, and append their scores (or quarantine them) in
+  /// order. Returns the measured wall time in ms (0 when the budget reads
+  /// no clock); each candidate is charged an equal share of it.
+  double evaluate(std::span<const policy::QueuedJob> queue, const cloud::CloudProfile& profile,
+                  std::span<const std::size_t> candidates,
                   std::vector<PolicyScore>& scores, std::vector<std::size_t>& quarantined);
 
   const policy::Portfolio& portfolio_;
@@ -210,10 +211,8 @@ class TimeConstrainedSelector {
   std::deque<std::size_t> stale_;
   std::vector<std::size_t> poor_;
 
-  // Hot-path state (DESIGN.md §11): the snapshot is rebuilt once per
-  // select() and read by every candidate; the arena (with its branch pool)
-  // and the batch buffers are reused across rounds.
-  RoundSnapshot snapshot_;
+  // Hot-path state (DESIGN.md §11): the arena (with its branch pool) and
+  // the batch buffers are reused across rounds.
   SimArena arena_;
   std::vector<std::size_t> drawn_;  ///< this round's candidates, in draw order
   std::vector<policy::PolicyTriple> batch_policies_;

@@ -285,20 +285,15 @@ void InvariantChecker::on_policy_decision(const core::Scheduler& scheduler,
   std::vector<policy::PolicyTriple> policies;
   for (const std::size_t index : selector.last_candidates())
     policies.push_back(portfolio->portfolio().policies()[index]);
-  core::RoundSnapshot snapshot;
-  snapshot.build(queue, profile);
   core::SimArena arena;
   std::vector<core::MemberOutcome> group(policies.size());
-  (void)sim.simulate(snapshot, policies, arena, group);
+  (void)sim.simulate(queue, profile, policies, arena, group);
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (std::size_t i = 0; i < policies.size(); ++i) {
-    bool threw = false;
-    core::SimOutcome solo;
-    try {
-      solo = sim.simulate(snapshot, policies[i], arena);
-    } catch (const std::exception&) {
-      threw = true;
-    }
+    core::MemberOutcome one;
+    (void)sim.simulate(queue, profile, std::span(&policies[i], 1), arena, std::span(&one, 1));
+    const bool threw = one.error != nullptr;
+    const core::SimOutcome& solo = one.outcome;
     const core::SimOutcome& shared = group[i].outcome;
     const bool same =
         (group[i].error != nullptr) == threw &&

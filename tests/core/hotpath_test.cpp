@@ -1,13 +1,14 @@
-// Selector hot path (DESIGN.md §11): round-snapshot rebuilds, the arena
-// fast path vs the convenience wrapper, and arena reuse across rounds.
+// Selector hot path (DESIGN.md §11): the root branch's clamp of idle VMs'
+// availability, the warm-arena group path vs the convenience wrapper, and
+// arena reuse across rounds.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/online_sim.hpp"
-#include "core/round_snapshot.hpp"
 #include "core/sim_arena.hpp"
 #include "util/rng.hpp"
 
@@ -69,38 +70,50 @@ void expect_bit_identical(const SimOutcome& a, const SimOutcome& b) {
   EXPECT_EQ(a.decisions, b.decisions);
 }
 
-TEST(RoundSnapshot, RebuildMatchesAFreshBuild) {
-  // A long-lived snapshot reuses its column capacity across rounds; a
-  // rebuild after a larger round must leave exactly the fresh columns.
-  const auto queue = make_queue(6, 21);
-  const auto profile = make_profile(4, 23);
-  RoundSnapshot reused;
-  reused.build(make_queue(40, 11), make_profile(20, 13));
-  reused.build(queue, profile);
-  RoundSnapshot fresh;
-  fresh.build(queue, profile);
-  EXPECT_EQ(reused.job_count(), queue.size());
-  EXPECT_EQ(reused.vm_count(), profile.vms.size());
-  EXPECT_EQ(reused.job_id, fresh.job_id);
-  EXPECT_EQ(reused.job_predicted, fresh.job_predicted);
-  EXPECT_EQ(reused.vm_available, fresh.vm_available);
-  EXPECT_EQ(reused.vm_busy, fresh.vm_busy);
-  // Idle VMs' availability is clamped to the snapshot instant.
-  for (const SimTime t : reused.vm_available) EXPECT_GE(t, profile.now);
+/// `policy` alone as a one-member group on `arena`.
+SimOutcome simulate_one(const OnlineSimulator& sim, std::span<const policy::QueuedJob> queue,
+                        const cloud::CloudProfile& profile,
+                        const policy::PolicyTriple& policy, SimArena& arena) {
+  MemberOutcome out;
+  (void)sim.simulate(queue, profile, std::span(&policy, 1), arena, std::span(&out, 1));
+  EXPECT_EQ(out.error, nullptr) << policy.name();
+  return out.outcome;
+}
+
+TEST(OnlineSimHotPath, StaleIdleAvailabilityIsClampedToNow) {
+  // An idle VM whose available_at predates profile.now (the instant it
+  // went idle) is usable at profile.now: the run must equal the same
+  // profile with available_at == now, on both the group and the one-policy
+  // path, for every portfolio policy.
+  const OnlineSimulator sim(sim_config());
+  const auto queue = make_queue(16, 41);
+  const cloud::CloudProfile clamped = make_profile(10, 43);
+  cloud::CloudProfile stale = clamped;
+  std::size_t idle = 0;
+  for (cloud::VmView& vm : stale.vms) {
+    if (vm.busy) continue;
+    vm.available_at = stale.now - 700.0 - 100.0 * static_cast<double>(idle++);
+  }
+  ASSERT_GT(idle, 0u);
+  SimArena arena;
+  for (const policy::PolicyTriple& policy : portfolio().policies()) {
+    expect_bit_identical(simulate_one(sim, queue, stale, policy, arena),
+                         simulate_one(sim, queue, clamped, policy, arena));
+    expect_bit_identical(sim.simulate(queue, stale, policy),
+                         sim.simulate(queue, clamped, policy));
+  }
 }
 
 TEST(OnlineSimHotPath, FastPathMatchesWrapperApi) {
-  // The snapshot/arena fast path and the allocating convenience wrapper
-  // must produce bit-identical outcomes for every portfolio policy.
+  // A one-member group on a warm arena and the allocating convenience
+  // wrapper must produce bit-identical outcomes for every portfolio policy.
   const OnlineSimulator sim(sim_config());
   const auto queue = make_queue(16, 31);
   const auto profile = make_profile(10, 33);
-  RoundSnapshot snapshot;
-  snapshot.build(queue, profile);
   SimArena arena;
   for (const policy::PolicyTriple& policy : portfolio().policies()) {
     const SimOutcome wrapped = sim.simulate(queue, profile, policy);
-    const SimOutcome fast = sim.simulate(snapshot, policy, arena);
+    const SimOutcome fast = simulate_one(sim, queue, profile, policy, arena);
     expect_bit_identical(wrapped, fast);
   }
 }
@@ -115,12 +128,10 @@ TEST(OnlineSimHotPath, ArenaReuseAcrossRoundsIsClean) {
   for (std::uint64_t round = 0; round < 12; ++round) {
     const auto queue = make_queue(1 + (round * 7) % 40, 100 + round);
     const auto profile = make_profile((round * 5) % 20, 200 + round);
-    RoundSnapshot snapshot;
-    snapshot.build(queue, profile);
     const auto& policy = portfolio().policies()[round % portfolio().size()];
     SimArena fresh;
-    expect_bit_identical(sim.simulate(snapshot, policy, fresh),
-                         sim.simulate(snapshot, policy, reused));
+    expect_bit_identical(simulate_one(sim, queue, profile, policy, fresh),
+                         simulate_one(sim, queue, profile, policy, reused));
   }
 }
 

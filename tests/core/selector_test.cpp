@@ -345,6 +345,38 @@ TEST(SelectorDegradation, ThrowingCandidatesAreQuarantinedToPoor) {
   EXPECT_EQ(s.poor().size(), 60u);  // everything demoted
 }
 
+TEST(SelectorDegradation, DegradedRoundIsRecorded) {
+  // The round record of a degraded round: nothing simulated, the preferred
+  // policy carried forward, every candidate quarantined.
+  obs::Recorder recorder(obs::ObsConfig{obs::ObsLevel::kCounters});
+  TimeConstrainedSelector s(portfolio(), OnlineSimulator(throwing_sim_config()),
+                            unbounded());
+  s.set_recorder(&recorder);
+  const auto queue = small_queue();
+  const SelectionResult result = s.select(queue, empty_cloud(50.0), 3);
+  ASSERT_TRUE(result.degraded);
+  ASSERT_EQ(recorder.rounds().size(), 1u);
+  const obs::SelectionRoundRecord& record = recorder.rounds().front();
+  EXPECT_STREQ(record.tie_path, "degraded");
+  EXPECT_EQ(record.simulated, 0u);
+  EXPECT_EQ(record.chosen, 3u);
+  EXPECT_EQ(record.quarantined, 60u);
+  EXPECT_EQ(record.tie_set, 0u);
+  EXPECT_DOUBLE_EQ(record.chosen_utility, 0.0);
+  EXPECT_DOUBLE_EQ(record.sim_now, 50.0);
+  EXPECT_DOUBLE_EQ(record.budget_delta, 0.0);
+  EXPECT_EQ(record.smart_in, 60u);
+  EXPECT_EQ(record.smart_out, 0u);
+  EXPECT_EQ(record.poor_out, 60u);
+  EXPECT_EQ(record.smart_churn, 0u);
+  const auto& counters = recorder.counters();
+  EXPECT_DOUBLE_EQ(counters.at("selector.rounds"), 1.0);
+  EXPECT_DOUBLE_EQ(counters.at("selector.degraded_rounds"), 1.0);
+  EXPECT_DOUBLE_EQ(counters.at("selector.quarantined"), 60.0);
+  EXPECT_EQ(counters.count("selector.candidates"), 0u);
+  EXPECT_EQ(counters.count("selector.budget_charged"), 0u);
+}
+
 TEST(SelectorDegradation, NoPreferredFallsBackToIndexZero) {
   TimeConstrainedSelector s(portfolio(), OnlineSimulator(throwing_sim_config()),
                             unbounded());

@@ -8,12 +8,12 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/online_sim.hpp"
-#include "core/round_snapshot.hpp"
 #include "core/selector.hpp"
 #include "core/sim_arena.hpp"
 #include "util/rng.hpp"
@@ -75,30 +75,35 @@ void expect_bit_identical(const SimOutcome& group, const SimOutcome& solo,
   EXPECT_EQ(group.decisions, solo.decisions) << where;
 }
 
+/// `policy` alone as a one-member group on `arena`.
+MemberOutcome simulate_one(const OnlineSimulator& sim, std::span<const policy::QueuedJob> queue,
+                           const cloud::CloudProfile& profile,
+                           const policy::PolicyTriple& policy, SimArena& arena) {
+  MemberOutcome out;
+  (void)sim.simulate(queue, profile, std::span(&policy, 1), arena, std::span(&out, 1));
+  return out;
+}
+
 /// Evaluate `policies` once as a group in `arena` and once per policy in a
 /// separate arena; every member must match its one-policy run, including
 /// whether it threw. Returns the group's stats.
 GroupStats expect_group_matches_solo(const OnlineSimulator& sim,
-                                     const RoundSnapshot& snapshot,
+                                     std::span<const policy::QueuedJob> queue,
+                                     const cloud::CloudProfile& profile,
                                      std::span<const policy::PolicyTriple> policies,
                                      SimArena& arena, const std::string& where) {
   std::vector<MemberOutcome> out(policies.size());
-  const GroupStats stats = sim.simulate(snapshot, policies, arena, out);
+  const GroupStats stats = sim.simulate(queue, profile, policies, arena, out);
   SimArena solo_arena;
   std::size_t max_decisions = 0;
   for (std::size_t i = 0; i < policies.size(); ++i) {
     const std::string at = where + ", policy " + policies[i].name();
-    bool threw = false;
-    SimOutcome solo;
-    try {
-      solo = sim.simulate(snapshot, policies[i], solo_arena);
-    } catch (const std::exception&) {
-      threw = true;
-    }
+    const MemberOutcome solo = simulate_one(sim, queue, profile, policies[i], solo_arena);
+    const bool threw = solo.error != nullptr;
     EXPECT_EQ(out[i].error != nullptr, threw) << at;
     if (threw || out[i].error != nullptr) continue;
-    expect_bit_identical(out[i].outcome, solo, at);
-    max_decisions = std::max(max_decisions, solo.decisions);
+    expect_bit_identical(out[i].outcome, solo.outcome, at);
+    max_decisions = std::max(max_decisions, solo.outcome.decisions);
   }
   EXPECT_LE(stats.paths, policies.size()) << where;
   EXPECT_GE(stats.steps, max_decisions) << where;
@@ -112,8 +117,8 @@ TEST(SharedPrefix, GroupMatchesOnePolicyRunsAcrossTheMatrix) {
   std::size_t shared = 0;
   for (const std::size_t depth : {1, 2, 4, 16, 64}) {
     for (const std::size_t vms : {0, 4, 64, 256}) {
-      RoundSnapshot snapshot;
-      snapshot.build(make_queue(depth, 100 + depth), make_profile(vms, 200 + vms));
+      const auto queue = make_queue(depth, 100 + depth);
+      const cloud::CloudProfile profile = make_profile(vms, 200 + vms);
       for (const AllocationMode mode :
            {AllocationMode::kHeadOfLine, AllocationMode::kEasyBackfill}) {
         for (const ReleaseRule rule : {ReleaseRule::kEagerSurplus, ReleaseRule::kBoundary}) {
@@ -129,7 +134,7 @@ TEST(SharedPrefix, GroupMatchesOnePolicyRunsAcrossTheMatrix) {
                                       ", rule " + std::to_string(static_cast<int>(rule)) +
                                       ", cost " + std::to_string(static_cast<int>(cost));
             const GroupStats stats = expect_group_matches_solo(
-                OnlineSimulator(config), snapshot, paper().policies(), arena, where);
+                OnlineSimulator(config), queue, profile, paper().policies(), arena, where);
             if (stats.paths < paper().size()) ++shared;
           }
         }
@@ -169,15 +174,14 @@ TEST(SharedPrefix, PricingOnWithTheTierAwarePortfolio) {
           ++profile.pricing.reserved_in_use;
         }
       }
-      RoundSnapshot snapshot;
-      snapshot.build(make_queue(depth, 500 + depth), profile);
+      const auto queue = make_queue(depth, 500 + depth);
       for (const ReleaseRule rule : {ReleaseRule::kEagerSurplus, ReleaseRule::kBoundary}) {
         OnlineSimConfig config = sim_config();
         config.release_rule = rule;
         const std::string where = "pricing, depth " + std::to_string(depth) + ", " +
                                   std::to_string(vms) + " VMs, rule " +
                                   std::to_string(static_cast<int>(rule));
-        (void)expect_group_matches_solo(OnlineSimulator(config), snapshot,
+        (void)expect_group_matches_solo(OnlineSimulator(config), queue, profile,
                                         portfolio.policies(), arena, where);
       }
     }
@@ -187,12 +191,12 @@ TEST(SharedPrefix, PricingOnWithTheTierAwarePortfolio) {
 TEST(SharedPrefix, IdenticalPoliciesShareOnePath) {
   // Five copies of one policy never disagree: one trajectory, stepped once.
   const OnlineSimulator sim(sim_config());
-  RoundSnapshot snapshot;
-  snapshot.build(make_queue(16, 7), make_profile(4, 8));
+  const auto queue = make_queue(16, 7);
+  const cloud::CloudProfile profile = make_profile(4, 8);
   const std::vector<policy::PolicyTriple> copies(5, paper().policies()[13]);
   SimArena arena;
   std::vector<MemberOutcome> out(copies.size());
-  const GroupStats stats = sim.simulate(snapshot, copies, arena, out);
+  const GroupStats stats = sim.simulate(queue, profile, copies, arena, out);
   EXPECT_EQ(stats.paths, 1u);
   EXPECT_EQ(stats.steps, out[0].outcome.decisions);
   for (const MemberOutcome& member : out)
@@ -214,8 +218,7 @@ TEST(SharedPrefix, ForksStayWithinOneStatePerMember) {
   const std::vector<policy::QueuedJob> queue = make_queue(64, 700);
   for (const bool pricing_on : {false, true}) {
     const policy::Portfolio& portfolio = pricing_on ? pricing : paper();
-    RoundSnapshot snapshot;
-    snapshot.build(queue, pricing_on ? priced : make_profile(64, 600));
+    const cloud::CloudProfile profile = pricing_on ? priced : make_profile(64, 600);
     for (const ReleaseRule rule : {ReleaseRule::kEagerSurplus, ReleaseRule::kBoundary}) {
       OnlineSimConfig config = sim_config();
       config.release_rule = rule;
@@ -223,7 +226,7 @@ TEST(SharedPrefix, ForksStayWithinOneStatePerMember) {
                                 std::to_string(static_cast<int>(rule));
       SimArena arena;
       const GroupStats stats = expect_group_matches_solo(
-          OnlineSimulator(config), snapshot, portfolio.policies(), arena, where);
+          OnlineSimulator(config), queue, profile, portfolio.policies(), arena, where);
       EXPECT_GT(stats.paths, portfolio.size() / 2) << where;  // a wide split
       EXPECT_TRUE(arena.stack.empty()) << where;
       EXPECT_LE(arena.spare.size(), portfolio.size()) << where;
@@ -285,17 +288,13 @@ struct ThrowingRound {
 };
 
 /// Indices whose one-policy simulation throws, ascending.
-std::vector<std::size_t> solo_failures(const OnlineSimulator& sim,
-                                       const RoundSnapshot& snapshot,
+std::vector<std::size_t> solo_failures(const OnlineSimulator& sim, const ThrowingRound& round,
                                        const policy::Portfolio& portfolio) {
   std::vector<std::size_t> failed;
   SimArena arena;
   for (std::size_t i = 0; i < portfolio.size(); ++i) {
-    try {
-      (void)sim.simulate(snapshot, portfolio.policies()[i], arena);
-    } catch (const std::exception&) {
+    if (simulate_one(sim, round.queue, round.profile, portfolio.policies()[i], arena).error)
       failed.push_back(i);
-    }
   }
   return failed;
 }
@@ -303,8 +302,6 @@ std::vector<std::size_t> solo_failures(const OnlineSimulator& sim,
 TEST(SharedPrefix, ThrowingComponentFailsExactlyTheMembersWhoseSoloRunThrows) {
   const OnlineSimulator sim(sim_config());
   const ThrowingRound round;
-  RoundSnapshot snapshot;
-  snapshot.build(round.queue, round.profile);
   const policy::Portfolio& portfolio = throwing_portfolio();
 
   // The scenario must be partial: some members of the throwing provisioning
@@ -313,12 +310,7 @@ TEST(SharedPrefix, ThrowingComponentFailsExactlyTheMembersWhoseSoloRunThrows) {
   for (std::size_t i = 0; i < portfolio.size(); ++i) {
     const policy::PolicyTriple& p = portfolio.policies()[i];
     SimArena arena;
-    bool threw = false;
-    try {
-      (void)sim.simulate(snapshot, p, arena);
-    } catch (const std::exception&) {
-      threw = true;
-    }
+    const bool threw = simulate_one(sim, round.queue, round.profile, p, arena).error != nullptr;
     const bool uses_thrower =
         p.provisioning->name() == "THR" || p.job_selection->name() == "THRJ";
     if (!uses_thrower) {
@@ -331,7 +323,7 @@ TEST(SharedPrefix, ThrowingComponentFailsExactlyTheMembersWhoseSoloRunThrows) {
   EXPECT_GT(thr_survived, 0u);
 
   SimArena arena;
-  (void)expect_group_matches_solo(sim, snapshot, portfolio.policies(), arena,
+  (void)expect_group_matches_solo(sim, round.queue, round.profile, portfolio.policies(), arena,
                                   "throwing portfolio");
 }
 
@@ -341,11 +333,9 @@ TEST(SharedPrefix, SelectorQuarantinesExactlyTheThrowersInSequentialOrder) {
   // the policies whose one-policy run throws, in draw order. The first
   // round draws Smart = every policy in index order.
   const ThrowingRound round;
-  RoundSnapshot snapshot;
-  snapshot.build(round.queue, round.profile);
   const policy::Portfolio& portfolio = throwing_portfolio();
   const std::vector<std::size_t> expected =
-      solo_failures(OnlineSimulator(sim_config()), snapshot, portfolio);
+      solo_failures(OnlineSimulator(sim_config()), round, portfolio);
   ASSERT_FALSE(expected.empty());
 
   SelectorConfig batched;
@@ -374,14 +364,13 @@ TEST(SharedPrefix, InjectedCandidateThrowFailsEveryMember) {
   OnlineSimConfig config = sim_config();
   config.inject_fault = validate::FaultInjection::kCandidateThrow;
   const OnlineSimulator sim(config);
-  RoundSnapshot snapshot;
-  snapshot.build(make_queue(4, 3), make_profile(4, 5));
+  const auto queue = make_queue(4, 3);
+  const cloud::CloudProfile profile = make_profile(4, 5);
   SimArena arena;
   std::vector<MemberOutcome> out(paper().size());
-  (void)sim.simulate(snapshot, paper().policies(), arena, out);
+  (void)sim.simulate(queue, profile, paper().policies(), arena, out);
   for (const MemberOutcome& member : out) EXPECT_NE(member.error, nullptr);
-  EXPECT_THROW((void)sim.simulate(snapshot, paper().policies()[0], arena),
-               std::runtime_error);
+  EXPECT_THROW((void)sim.simulate(queue, profile, paper().policies()[0]), std::runtime_error);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Docs lint: fail when README.md, DESIGN.md, or CONTRIBUTING.md reference API
 # surface that no longer exists — a config field spelled `SomeConfig::name`,
-# or a CLI/bench flag spelled `--name` that no source file implements. Keeps
-# the documented configuration surface honest as fields and flags evolve.
+# a CLI/bench flag spelled `--name` that no source file implements, or a
+# repo path that names no file. Keeps the documented surface honest as
+# fields, flags and files evolve.
 #
 # Run directly (tools/check_docs.sh) or via ctest (test name: docs_lint).
 set -u
@@ -147,6 +148,24 @@ for f in $(grep -ohE 'BENCH_[A-Za-z0-9_]+\.json' $docs | sort -u); do
     fail=1
   fi
 done
+
+# --- 6. Repo paths named in docs must exist ---------------------------------
+# A path under src/, tests/, tools/, bench/, examples/ or perfbench/ must
+# name a file or directory, or a binary built in that directory (from
+# <path>.cpp, or a CMake OUTPUT_NAME). Glob and placeholder paths
+# (`d2_*.cpp`, `bench_<name>`) are skipped; the prefix must start a word,
+# so paths inside a build tree (`./build/tools/psched`) are not matched.
+while read -r ref; do
+  case $ref in *[*{\<]) continue ;; esac
+  path=$(printf '%s' "$ref" | sed -E 's/[^A-Za-z0-9_]$//')
+  [ -e "$path" ] || [ -e "$path.cpp" ] && continue
+  if grep -qE "OUTPUT_NAME $(basename "$path")\)" "$(dirname "$path")/CMakeLists.txt" 2>/dev/null; then
+    continue
+  fi
+  echo "docs-lint: $path is referenced in docs but does not exist" >&2
+  fail=1
+done < <(grep -ohE "(^|[^A-Za-z0-9_./\$-])(src|tests|tools|bench|examples|perfbench)/[A-Za-z0-9_./-]*[A-Za-z0-9_][^A-Za-z0-9_./-]?" $docs \
+           | sed -E 's/^[^a-z]//' | sort -u)
 
 if [ "$fail" -ne 0 ]; then
   echo "docs-lint: FAILED — update the docs or the allowlist in tools/check_docs.sh" >&2
