@@ -3,6 +3,7 @@
 // queue, the online simulator as a function of queue depth, queue ordering,
 // and a full unbounded 60-policy selection. These numbers substantiate the
 // paper's claim that sub-second selection is feasible for a 256-VM cloud.
+// BM_EngineDay times the outer engine.
 //
 // Beyond google-benchmark's own flags, `--report PATH` (stripped before
 // benchmark::Initialize) mirrors the per-benchmark real times into a gated
@@ -129,9 +130,11 @@ BENCHMARK(BM_OnlineSim_WarmArena)->RangeMultiplier(4)->Range(1, 256);
 void BM_OrderQueue(benchmark::State& state) {
   const auto base = make_queue(static_cast<std::size_t>(state.range(0)));
   const auto policy = policy::make_job_selection("UNICEF");
+  policy::OrderScratch scratch;
+  std::vector<policy::QueuedJob> queue;
   for (auto _ : state) {
-    auto queue = base;
-    policy::order_queue(queue, *policy, 1e6);
+    queue = base;
+    policy::order_queue(queue, *policy, 1e6, scratch);
     benchmark::DoNotOptimize(queue.data());
   }
 }
@@ -163,19 +166,28 @@ void BM_TraceGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGeneration);
 
-void BM_EngineDay(benchmark::State& state) {
-  // One simulated day of the bursty archetype under a fixed policy.
+/// The outer engine under one fixed constituent policy: no selector runs,
+/// the time is the engine's ticks.
+void BM_EngineDay(benchmark::State& state, const workload::GeneratorConfig& archetype,
+                  std::uint64_t seed, int max_procs, std::size_t policy,
+                  engine::PredictorKind predictor) {
   const auto trace =
-      workload::TraceGenerator(workload::das2_fs0_like(1.0)).generate(3).cleaned(64);
+      workload::TraceGenerator(archetype).generate(seed).cleaned(max_procs);
   static const policy::Portfolio& portfolio = *new policy::Portfolio(
       policy::Portfolio::paper_portfolio());
   const auto config = engine::paper_engine_config();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine::run_single_policy(
-        config, trace, portfolio.policies()[7], engine::PredictorKind::kPerfect));
+    benchmark::DoNotOptimize(
+        engine::run_single_policy(config, trace, portfolio.policies()[policy], predictor));
   }
 }
-BENCHMARK(BM_EngineDay);
+// One simulated day of the bursty archetype with perfect predictions.
+BENCHMARK_CAPTURE(BM_EngineDay, das2_perfect, workload::das2_fs0_like(1.0), 3, 64, 7,
+                  engine::PredictorKind::kPerfect);
+// The paper's baseline sweep (Fig. 4/7): a quarter day of LPC-EGEE with
+// Tsafrir predictions, whose deep queues make the per-tick cost show.
+BENCHMARK_CAPTURE(BM_EngineDay, lpc_tsafrir, workload::paper_archetypes(0.25)[3], 11, 256,
+                  13, engine::PredictorKind::kTsafrir);
 
 /// Console reporter that additionally captures per-benchmark real times so
 /// the run can be mirrored into a gated bench report.

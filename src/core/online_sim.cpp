@@ -155,8 +155,9 @@ class GroupEvaluation {
     // the adversary).
     if (pricing_on_) b.pricing = profile_.pricing;
     // The profile's VMs become rows 0..V-1 with ids 0..V-1. An idle VM's
-    // available_at may predate the profile instant; the inner sim only
-    // cares "usable now", so availability is clamped to t0.
+    // available_at may predate the profile instant; it is copied as is,
+    // since every reader treats available_at <= now as "usable now" or
+    // takes max(available_at, now).
     const SimTime t0 = profile_.now;
     const std::size_t vms = profile_.vms.size();
     b.vm_id.resize(vms);
@@ -171,7 +172,7 @@ class GroupEvaluation {
       b.vm_id[i] = static_cast<VmId>(i);
       b.vm_row[i] = static_cast<std::uint32_t>(i);
       b.vm_lease[i] = view.lease_time;
-      b.vm_avail[i] = std::max(view.available_at, t0);
+      b.vm_avail[i] = view.available_at;
       b.vm_busy[i] = view.busy ? 1 : 0;
       if (pricing_on_) {
         b.vm_family[i] = view.family;

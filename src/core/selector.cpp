@@ -245,6 +245,7 @@ SelectionResult TimeConstrainedSelector::select(
     record.tie_path = tie_path;
     recorder_->record_round(record);
     recorder_->counter_add("selector.rounds", 1.0);
+    recorder_->counter_add("selector.budget_charged", charged_ms);
     if (result.quarantined > 0)
       recorder_->counter_add("selector.quarantined",
                              static_cast<double>(result.quarantined));
@@ -323,7 +324,6 @@ SelectionResult TimeConstrainedSelector::select(
     record_round(result, tied, tie_path);
     recorder_->counter_add("selector.candidates",
                            static_cast<double>(result.scores.size()));
-    recorder_->counter_add("selector.budget_charged", charged_ms);
   }
   return result;
 }

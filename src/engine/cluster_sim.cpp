@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/assert.hpp"
 #include "util/seed_streams.hpp"
@@ -62,6 +63,7 @@ ClusterSimulation::ClusterSimulation(EngineConfig config, const workload::Trace&
   std::unordered_map<JobId, const workload::Job*> by_id;
   by_id.reserve(trace_.size());
   for (const workload::Job& j : trace_.jobs()) {
+    PSCHED_ASSERT_MSG(j.procs >= 1, "a job needs at least one VM");
     PSCHED_ASSERT_MSG(static_cast<std::size_t>(j.procs) <= config_.provider.max_vms,
                       "job wider than the VM cap can never run");
     PSCHED_ASSERT_MSG(by_id.emplace(j.id, &j).second, "duplicate job id in trace");
@@ -183,36 +185,34 @@ void ClusterSimulation::on_arrival() {
   }
 }
 
-std::vector<policy::QueuedJob> ClusterSimulation::annotate_queue() const {
-  std::vector<policy::QueuedJob> annotated;
-  annotated.reserve(queue_.size());
-  for (const Waiting& w : queue_) {
+void ClusterSimulation::annotate_queue() {
+  annotated_.clear();
+  for (Waiting& w : queue_) {
+    if (w.predicted <= 0.0) w.predicted = predictor_.predict(*w.job);
     policy::QueuedJob q;
     q.id = w.job->id;
     // Policies rank by waiting time since *eligibility* — a workflow task
     // blocked on its parents has not been waiting on the scheduler.
     q.submit = w.eligible;
     q.procs = w.job->procs;
-    q.predicted_runtime = predictor_.predict(*w.job);
-    annotated.push_back(q);
+    q.predicted_runtime = w.predicted;
+    annotated_.push_back(q);
   }
-  return annotated;
 }
 
-cloud::CloudProfile ClusterSimulation::make_profile() const {
+void ClusterSimulation::refresh_profile() {
   const SimTime now = sim_.now();
-  cloud::CloudProfile profile;
-  profile.now = now;
+  profile_.now = now;
   // Planning cap, not the provider's live cap: under a multi-tenant arbiter
   // the live cap is the tenant's transient allowance, which can sit below a
   // queued job's width — a what-if simulation against it could never place
   // the job and would spin to its iteration cap. Candidates plan against
   // the structural capacity (identical to the live cap outside multi-tenant
   // mode); the real provisioning context still reads the live allowance.
-  profile.max_vms = config_.provider.max_vms;
-  profile.boot_delay = provider_.config().boot_delay;
-  profile.billing_quantum = provider_.config().billing_quantum;
-  profile.vms.reserve(provider_.vms().size());
+  profile_.max_vms = config_.provider.max_vms;
+  profile_.boot_delay = provider_.config().boot_delay;
+  profile_.billing_quantum = provider_.config().billing_quantum;
+  profile_.vms.clear();
   for (const cloud::VmInstance& vm : provider_.vms()) {
     cloud::VmView view;
     view.lease_time = vm.lease_time;
@@ -234,10 +234,9 @@ cloud::CloudProfile ClusterSimulation::make_profile() const {
     }
     view.family = vm.family;
     view.tier = vm.tier;
-    profile.vms.push_back(view);
+    profile_.vms.push_back(view);
   }
-  provider_.fill_pricing_view(profile.pricing, now);
-  return profile;
+  provider_.fill_pricing_view(profile_.pricing, now);
 }
 
 void ClusterSimulation::on_tick() {
@@ -253,11 +252,11 @@ void ClusterSimulation::on_tick() {
   ++ticks_run_;
   next_instant_ = now + config_.schedule_period;
 
-  std::vector<policy::QueuedJob> annotated = annotate_queue();
-  const cloud::CloudProfile profile = make_profile();
+  annotate_queue();
+  refresh_profile();
   const policy::PolicyTriple policy =
-      scheduler_.policy_for_tick(tick_index, annotated, profile);
-  if (checker_) checker_->on_policy_decision(scheduler_, annotated, profile, now);
+      scheduler_.policy_for_tick(tick_index, annotated_, profile_);
+  if (checker_) checker_->on_policy_decision(scheduler_, annotated_, profile_, now);
   if (policy != context_policy_) {
     // Re-format the context label only on a policy switch (rare).
     context_policy_ = policy;
@@ -267,12 +266,12 @@ void ClusterSimulation::on_tick() {
   // --- 1. provisioning -------------------------------------------------------
   policy::SchedContext ctx;
   ctx.now = now;
-  ctx.queue = annotated;
+  ctx.queue = annotated_;
   ctx.idle_vms = provider_.idle_count();
   ctx.booting_vms = provider_.booting_count();
   ctx.total_vms = provider_.leased_count();
   ctx.max_vms = provider_.config().max_vms;
-  ctx.pricing = &profile.pricing;
+  ctx.pricing = &profile_.pricing;
   if (pricing_model_ != nullptr) {
     // Doomed spot capacity is not supply: discounting it here makes the
     // policy lease replacements during the warning lead time instead of
@@ -350,73 +349,11 @@ void ClusterSimulation::on_tick() {
   }
 
   // --- 2. allocation (shared planner; head-of-line or EASY backfill) ---------
-  policy::order_queue(annotated, *policy.job_selection, now);
-  std::vector<policy::VmAvail> avail;
-  avail.reserve(provider_.vms().size());
-  for (const cloud::VmInstance& vm : provider_.vms()) {
-    // A doomed spot VM (revocation warning delivered) finishes what it has
-    // but takes no new work; always false with pricing off.
-    if (vm.doomed) continue;
-    SimTime available_at = now;
-    switch (vm.state) {
-      case cloud::VmState::kBooting:
-        available_at = vm.boot_complete;
-        break;
-      case cloud::VmState::kBusy:
-        // Predicted, not actual: the planner must not peek. A stale
-        // prediction (already in the past) must still read as "busy, free
-        // any moment" — never as idle-now, which only kIdle VMs are.
-        available_at = std::max(predicted_free_.at(vm.id), now + 1e-6);
-        break;
-      case cloud::VmState::kIdle:
-        break;
-    }
-    avail.push_back(policy::VmAvail{vm.id, vm.lease_time, available_at});
-  }
-  const std::vector<policy::PlannedStart> plan = policy::plan_allocation(
-      now, annotated, std::move(avail), *policy.vm_selection, config_.allocation,
-      config_.provider.billing_quantum);
-
-  std::vector<bool> served(annotated.size(), false);
-  for (const policy::PlannedStart& start : plan) {
-    served[start.queue_index] = true;
-    const policy::QueuedJob& entry = annotated[start.queue_index];
-    // Locate the trace job behind this queue entry.
-    const auto wit = std::find_if(queue_.begin(), queue_.end(), [&](const Waiting& w) {
-      return w.job->id == entry.id;
-    });
-    PSCHED_ASSERT(wit != queue_.end());
-    const workload::Job& job = *wit->job;
-    const SimTime actual_finish = now + job.runtime;
-    const SimTime predicted_finish = now + entry.predicted_runtime;
-
-    Running running;
-    running.job = &job;
-    running.start = now;
-    running.eligible = wit->eligible;
-    running.vms = start.vms;
-    for (const VmId vm : start.vms) {
-      provider_.assign(vm, job.id, actual_finish, now);
-      predicted_free_[vm] = predicted_finish;
-    }
-    const JobId id = job.id;
-    if (checker_)
-      checker_->on_job_started(id, job.procs, start.vms.size(), running.eligible,
-                               job.submit, now);
-    // Keep the finish event's id so a VM crash can cancel it.
-    running.finish_event = sim_.at(actual_finish, [this, id] { on_job_finish(id); });
-    running_.emplace(id, std::move(running));
-    queue_.erase(wit);
-  }
-  if (recorder_ != nullptr && !plan.empty())
-    recorder_->counter_add("engine.jobs_started", static_cast<double>(plan.size()));
-  std::size_t head_unserved_procs = 0;  // first job left waiting, if any
-  for (std::size_t i = 0; i < annotated.size(); ++i) {
-    if (!served[i]) {
-      head_unserved_procs = static_cast<std::size_t>(annotated[i].procs);
-      break;
-    }
-  }
+  // Every job needs a VM (the constructor asserts it) and provider_.assign
+  // takes only idle ones, so with none idle nothing can start and the
+  // release step below has no idle VM to release or keep.
+  const std::size_t head_unserved_procs =
+      provider_.idle_count() > 0 ? allocate(now, policy) : 0;
 
   // --- 3. idle-VM release ------------------------------------------------------
   if (pricing_model_ != nullptr) {
@@ -483,6 +420,71 @@ void ClusterSimulation::on_tick() {
   } else {
     chain_live_ = false;  // the next enqueue starts a new chain
   }
+}
+
+std::size_t ClusterSimulation::allocate(SimTime now, const policy::PolicyTriple& policy) {
+  policy::order_queue(annotated_, *policy.job_selection, now, order_scratch_);
+  avail_.clear();
+  for (const cloud::VmInstance& vm : provider_.vms()) {
+    // A doomed spot VM (revocation warning delivered) finishes what it has
+    // but takes no new work; always false with pricing off.
+    if (vm.doomed) continue;
+    SimTime available_at = now;
+    switch (vm.state) {
+      case cloud::VmState::kBooting:
+        available_at = vm.boot_complete;
+        break;
+      case cloud::VmState::kBusy:
+        // Predicted, not actual: the planner must not peek. A stale
+        // prediction (already in the past) must still read as "busy, free
+        // any moment" — never as idle-now, which only kIdle VMs are.
+        available_at = std::max(predicted_free_.at(vm.id), now + 1e-6);
+        break;
+      case cloud::VmState::kIdle:
+        break;
+    }
+    avail_.push_back(policy::VmAvail{vm.id, vm.lease_time, available_at});
+  }
+  policy::plan_allocation_into(now, annotated_, avail_, *policy.vm_selection,
+                               config_.allocation, config_.provider.billing_quantum, plan_,
+                               alloc_scratch_);
+
+  served_.assign(annotated_.size(), 0);
+  for (const policy::AllocationPlan::Start& start : plan_.starts) {
+    served_[start.queue_index] = 1;
+    const policy::QueuedJob& entry = annotated_[start.queue_index];
+    // Locate the trace job behind this queue entry.
+    const auto wit = std::find_if(queue_.begin(), queue_.end(), [&](const Waiting& w) {
+      return w.job->id == entry.id;
+    });
+    PSCHED_ASSERT(wit != queue_.end());
+    const workload::Job& job = *wit->job;
+    const SimTime actual_finish = now + job.runtime;
+    const SimTime predicted_finish = now + entry.predicted_runtime;
+    const std::span<const VmId> vms = plan_.vms_of(start);
+
+    Running running;
+    running.job = &job;
+    running.start = now;
+    running.eligible = wit->eligible;
+    running.vms.assign(vms.begin(), vms.end());
+    for (const VmId vm : vms) {
+      provider_.assign(vm, job.id, actual_finish, now);
+      predicted_free_[vm] = predicted_finish;
+    }
+    const JobId id = job.id;
+    if (checker_)
+      checker_->on_job_started(id, job.procs, vms.size(), running.eligible, job.submit, now);
+    // Keep the finish event's id so a VM crash can cancel it.
+    running.finish_event = sim_.at(actual_finish, [this, id] { on_job_finish(id); });
+    running_.emplace(id, std::move(running));
+    queue_.erase(wit);
+  }
+  if (recorder_ != nullptr && !plan_.empty())
+    recorder_->counter_add("engine.jobs_started", static_cast<double>(plan_.starts.size()));
+  for (std::size_t i = 0; i < annotated_.size(); ++i)
+    if (served_[i] == 0) return static_cast<std::size_t>(annotated_[i].procs);
+  return 0;
 }
 
 void ClusterSimulation::on_boot_complete(VmId id) {
@@ -624,6 +626,10 @@ void ClusterSimulation::on_job_finish(JobId id) {
 
   if (recorder_ != nullptr) recorder_->counter_add("engine.jobs_finished", 1.0);
   predictor_.observe_completion(*running.job);
+  // The RuntimePredictor contract: a completion moves only the predictions
+  // of its own user's jobs.
+  for (Waiting& w : queue_)
+    if (w.job->user == running.job->user) w.predicted = 0.0;
   running_.erase(it);
 
   // Release workflow dependents whose last dependency just completed.

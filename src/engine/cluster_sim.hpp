@@ -32,6 +32,8 @@
 #include "engine/resubmit_ledger.hpp"
 #include "metrics/collector.hpp"
 #include "obs/provider_tracer.hpp"
+#include "policy/allocation.hpp"
+#include "policy/job_selection.hpp"
 #include "predict/predictor.hpp"
 #include "sim/simulator.hpp"
 #include "validate/invariant_checker.hpp"
@@ -176,6 +178,10 @@ class ClusterSimulation {
   struct Waiting {
     const workload::Job* job;
     SimTime eligible;  ///< max(submit, completion of the last dependency)
+    /// predictor_.predict(*job), or 0 while stale (predictions are > 0).
+    /// Stale on (re-)enqueue and after a job of the same user completes:
+    /// by the RuntimePredictor contract nothing else moves a prediction.
+    double predicted = 0.0;
   };
 
   void on_arrival();
@@ -224,9 +230,16 @@ class ClusterSimulation {
   /// machinery as a crash) and settles the lease at the spot price.
   void on_spot_revoke(VmId id);
 
-  /// Cloud profile with *predicted* completion times for busy VMs.
-  [[nodiscard]] cloud::CloudProfile make_profile() const;
-  [[nodiscard]] std::vector<policy::QueuedJob> annotate_queue() const;
+  /// Refill profile_: the cloud with *predicted* completion times for busy
+  /// VMs.
+  void refresh_profile();
+  /// Refill annotated_ from queue_ (submit order), predicting only the
+  /// entries whose cached prediction is stale.
+  void annotate_queue();
+  /// Order annotated_, plan against the VMs free now, and start the planned
+  /// jobs; returns the width of the first job in service order left
+  /// waiting (0 if none).
+  std::size_t allocate(SimTime now, const policy::PolicyTriple& policy);
 
   EngineConfig config_;
   const workload::Trace& trace_;
@@ -242,6 +255,14 @@ class ClusterSimulation {
   policy::PolicyTriple context_policy_{};  // last policy published to SimContext
 
   std::vector<Waiting> queue_;                 // submit order
+  // Per-tick buffers, refilled every tick and kept for their capacity.
+  std::vector<policy::QueuedJob> annotated_;   // queue_ order, then service order
+  cloud::CloudProfile profile_;
+  std::vector<policy::VmAvail> avail_;
+  std::vector<char> served_;                   // by annotated_ position
+  policy::OrderScratch order_scratch_;
+  policy::AllocationPlan plan_;
+  policy::AllocationScratch alloc_scratch_;
   std::size_t next_arrival_ = 0;               // index into trace jobs
   // Tick chain: instants are chained `t + schedule_period` doubles from a
   // phase-aligned start. A live chain either has a tick armed or only busy

@@ -114,23 +114,4 @@ void plan_allocation_into(SimTime now, std::span<const QueuedJob> ordered_queue,
   }
 }
 
-std::vector<PlannedStart> plan_allocation(SimTime now,
-                                          std::span<const QueuedJob> ordered_queue,
-                                          std::vector<VmAvail> vms,
-                                          const VmSelectionPolicy& vm_selection,
-                                          AllocationMode mode,
-                                          SimDuration billing_quantum) {
-  AllocationPlan flat;
-  AllocationScratch scratch;
-  plan_allocation_into(now, ordered_queue, vms, vm_selection, mode, billing_quantum,
-                       flat, scratch);
-  std::vector<PlannedStart> plan;
-  plan.reserve(flat.starts.size());
-  for (const AllocationPlan::Start& start : flat.starts) {
-    const std::span<const VmId> ids = flat.vms_of(start);
-    plan.push_back(PlannedStart{start.queue_index, {ids.begin(), ids.end()}});
-  }
-  return plan;
-}
-
 }  // namespace psched::policy

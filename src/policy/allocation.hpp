@@ -35,18 +35,11 @@ struct VmAvail {
   SimTime available_at = 0.0;  ///< <= now: idle; otherwise predicted free time
 };
 
-/// One planned start: queue position (into the ordered queue) + the VMs.
-struct PlannedStart {
-  std::size_t queue_index = 0;
-  std::vector<VmId> vms;
-};
-
-/// Allocation decisions in flat struct-of-arrays form: each start's chosen
-/// VM ids occupy the contiguous range [vm_begin, vm_end) of `vm_ids`. The
-/// hot caller (the online simulator) reuses one AllocationPlan across every
-/// decision of every candidate simulation — two vectors that only grow, no
-/// per-start allocations (PlannedStart's per-start vector is what made the
-/// boxed form expensive; see DESIGN.md §11).
+/// Allocation decisions in flat struct-of-arrays form: each start's queue
+/// position (into the ordered queue) and its chosen VM ids, which occupy
+/// the contiguous range [vm_begin, vm_end) of `vm_ids`. Callers reuse one
+/// AllocationPlan across decisions: two vectors that only grow, no
+/// per-start allocations.
 struct AllocationPlan {
   struct Start {
     std::size_t queue_index = 0;
@@ -78,19 +71,13 @@ struct AllocationScratch {
   std::vector<std::uint32_t> vm_row;   ///< VmId -> row in `vms` (dense by id)
 };
 
-/// Compute the starts for this scheduling decision. `ordered_queue` must
-/// already be in service order (see order_queue). Pure function: does not
-/// mutate external state; `vms` is taken by value as scratch.
-[[nodiscard]] std::vector<PlannedStart> plan_allocation(
-    SimTime now, std::span<const QueuedJob> ordered_queue, std::vector<VmAvail> vms,
-    const VmSelectionPolicy& vm_selection, AllocationMode mode,
-    SimDuration billing_quantum = kSecondsPerHour);
-
-/// Allocation-free variant of plan_allocation for the online simulator's
-/// inner loop: identical decisions (same starts, same VMs, same order), but
-/// the result lands in `out` and all working state lives in `scratch`, both
-/// reused across calls. `vms` is read-only here (the mutable working copy
-/// is scratch.vms).
+/// Compute the starts for this scheduling decision into `out`. Jobs start
+/// only on VMs free now (`available_at <= now`) and every job needs at
+/// least one, so with none free the plan is empty in both modes.
+/// `ordered_queue` must already be in service order (see order_queue).
+/// Reads nothing but its arguments; all working state lives in `scratch`
+/// (the mutable VM working copy is scratch.vms). The engine and the online
+/// simulator reuse both `out` and `scratch` across calls.
 void plan_allocation_into(SimTime now, std::span<const QueuedJob> ordered_queue,
                           std::span<const VmAvail> vms,
                           const VmSelectionPolicy& vm_selection, AllocationMode mode,

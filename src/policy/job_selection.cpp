@@ -54,12 +54,6 @@ void order_queue(std::vector<QueuedJob>& queue, const JobSelectionPolicy& policy
   queue.swap(ordered);
 }
 
-void order_queue(std::vector<QueuedJob>& queue, const JobSelectionPolicy& policy,
-                 SimTime now) {
-  OrderScratch scratch;
-  order_queue(queue, policy, now, scratch);
-}
-
 std::unique_ptr<JobSelectionPolicy> make_job_selection(const std::string& name) {
   if (name == "FCFS") return std::make_unique<FcfsSelection>();
   if (name == "LXF") return std::make_unique<LxfSelection>();

@@ -55,21 +55,17 @@ class UnicefSelection final : public JobSelectionPolicy {
   [[nodiscard]] std::string name() const override { return "UNICEF"; }
 };
 
-/// Sorts `queue` in service order for the given policy: descending priority,
-/// ties by (submit, id). In-place, stable with respect to identical jobs.
-void order_queue(std::vector<QueuedJob>& queue, const JobSelectionPolicy& policy,
-                 SimTime now);
-
-/// Reusable working state for the scratch-taking order_queue overload: the
-/// priority-keyed index array and the reorder buffer. Contents are
-/// meaningless between calls; reuse only keeps vector capacity warm.
+/// Reusable working state for order_queue: the priority-keyed index array
+/// and the reorder buffer. Contents are meaningless between calls; reuse
+/// only keeps vector capacity warm.
 struct OrderScratch {
   std::vector<std::pair<double, std::size_t>> keyed;
   std::vector<QueuedJob> reordered;
 };
 
-/// Allocation-free order_queue for the online simulator's decision loop
-/// (identical resulting order; see DESIGN.md §11).
+/// Sorts `queue` in service order for the given policy: descending priority,
+/// ties by (submit, id). In-place, stable with respect to identical jobs;
+/// all working state lives in `scratch`.
 void order_queue(std::vector<QueuedJob>& queue, const JobSelectionPolicy& policy,
                  SimTime now, OrderScratch& scratch);
 

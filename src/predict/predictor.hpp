@@ -4,6 +4,14 @@
 // runtimes directly; they go through a RuntimePredictor so the three
 // information regimes of the evaluation (accurate / predicted / user
 // estimates) are a configuration switch.
+//
+// Contract: a predictor keeps only per-user state. predict(job) depends on
+// the job's own fields and on the completions observed for job.user, so a
+// job's prediction changes only when observe_completion() is fed a job of
+// the same user. The outer engine caches each queued job's prediction on
+// that basis and re-predicts only after such a completion (DESIGN.md §2).
+// All six predictors (perfect, user-estimate, Tsafrir, last-runtime,
+// running-mean, EWMA) keep to it.
 
 #include <memory>
 #include <string>

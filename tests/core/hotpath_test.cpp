@@ -1,6 +1,6 @@
-// Selector hot path (DESIGN.md §11): the root branch's clamp of idle VMs'
-// availability, the warm-arena group path vs the convenience wrapper, and
-// arena reuse across rounds.
+// Selector hot path (DESIGN.md §11): idle VMs whose availability predates
+// the profile instant, the warm-arena group path vs the convenience
+// wrapper, and arena reuse across rounds.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -84,7 +84,8 @@ TEST(OnlineSimHotPath, StaleIdleAvailabilityIsClampedToNow) {
   // An idle VM whose available_at predates profile.now (the instant it
   // went idle) is usable at profile.now: the run must equal the same
   // profile with available_at == now, on both the group and the one-policy
-  // path, for every portfolio policy.
+  // path, for every portfolio policy. The root branch copies the stale
+  // value as is, so this checks that every reader of it tolerates it.
   const OnlineSimulator sim(sim_config());
   const auto queue = make_queue(16, 41);
   const cloud::CloudProfile clamped = make_profile(10, 43);

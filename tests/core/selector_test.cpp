@@ -347,7 +347,7 @@ TEST(SelectorDegradation, ThrowingCandidatesAreQuarantinedToPoor) {
 
 TEST(SelectorDegradation, DegradedRoundIsRecorded) {
   // The round record of a degraded round: nothing simulated, the preferred
-  // policy carried forward, every candidate quarantined.
+  // policy carried forward, every candidate quarantined, its charge counted.
   obs::Recorder recorder(obs::ObsConfig{obs::ObsLevel::kCounters});
   TimeConstrainedSelector s(portfolio(), OnlineSimulator(throwing_sim_config()),
                             unbounded());
@@ -374,7 +374,8 @@ TEST(SelectorDegradation, DegradedRoundIsRecorded) {
   EXPECT_DOUBLE_EQ(counters.at("selector.degraded_rounds"), 1.0);
   EXPECT_DOUBLE_EQ(counters.at("selector.quarantined"), 60.0);
   EXPECT_EQ(counters.count("selector.candidates"), 0u);
-  EXPECT_EQ(counters.count("selector.budget_charged"), 0u);
+  // The counter sums every round record's charge, degraded rounds included.
+  EXPECT_DOUBLE_EQ(counters.at("selector.budget_charged"), record.budget_charged);
 }
 
 TEST(SelectorDegradation, NoPreferredFallsBackToIndexZero) {

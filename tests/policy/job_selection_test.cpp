@@ -71,7 +71,8 @@ TEST(Unicef, PrefersSmallShortJobs) {
 TEST(OrderQueue, FcfsOrdersBySubmitTime) {
   std::vector<QueuedJob> queue{make_queued(2, 30, 1, 10), make_queued(0, 10, 1, 10),
                                make_queued(1, 20, 1, 10)};
-  order_queue(queue, FcfsSelection{}, 100.0);
+  OrderScratch scratch;
+  order_queue(queue, FcfsSelection{}, 100.0, scratch);
   EXPECT_EQ(queue[0].id, 0);
   EXPECT_EQ(queue[1].id, 1);
   EXPECT_EQ(queue[2].id, 2);
@@ -80,7 +81,8 @@ TEST(OrderQueue, FcfsOrdersBySubmitTime) {
 TEST(OrderQueue, TiesBreakBySubmitThenId) {
   // Equal priorities under FCFS (same submit): id order wins.
   std::vector<QueuedJob> queue{make_queued(5, 10, 1, 10), make_queued(3, 10, 1, 10)};
-  order_queue(queue, FcfsSelection{}, 100.0);
+  OrderScratch scratch;
+  order_queue(queue, FcfsSelection{}, 100.0, scratch);
   EXPECT_EQ(queue[0].id, 3);
   EXPECT_EQ(queue[1].id, 5);
 }
@@ -88,13 +90,15 @@ TEST(OrderQueue, TiesBreakBySubmitThenId) {
 TEST(OrderQueue, LxfPutsShortWaitingJobFirst) {
   std::vector<QueuedJob> queue{make_queued(0, 0, 1, 10000.0),  // long job
                                make_queued(1, 50, 1, 10.0)};   // short job
-  order_queue(queue, LxfSelection{}, 100.0);
+  OrderScratch scratch;
+  order_queue(queue, LxfSelection{}, 100.0, scratch);
   EXPECT_EQ(queue[0].id, 1);
 }
 
 TEST(OrderQueue, EmptyQueueIsFine) {
   std::vector<QueuedJob> queue;
-  order_queue(queue, FcfsSelection{}, 0.0);
+  OrderScratch scratch;
+  order_queue(queue, FcfsSelection{}, 0.0, scratch);
   EXPECT_TRUE(queue.empty());
 }
 
@@ -131,8 +135,9 @@ TEST_P(AllJobSelectionTest, OrderingIsStableUnderPermutation) {
   std::vector<QueuedJob> a{make_queued(0, 5, 1, 10), make_queued(1, 50, 8, 1000),
                            make_queued(2, 20, 2, 100), make_queued(3, 0, 4, 30)};
   std::vector<QueuedJob> b{a[2], a[0], a[3], a[1]};
-  order_queue(a, *policy, 2000.0);
-  order_queue(b, *policy, 2000.0);
+  OrderScratch scratch;
+  order_queue(a, *policy, 2000.0, scratch);
+  order_queue(b, *policy, 2000.0, scratch);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].id, b[i].id);
 }
